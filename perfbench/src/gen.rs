@@ -1,12 +1,11 @@
 //! Seeded request generators. The program under test sees only what these
-//! produce: wire lines for the serve workloads, argv for `dse_cold`. The
+//! produce: wire lines for `serve_unique`, argv for `dse_cold`. The
 //! same seed always yields byte-identical streams.
 
 use std::collections::HashSet;
 
 use bitfusion_core::util::SplitMix64;
 use bitfusion_dnn::model::Model;
-use bitfusion_dnn::modern::{attention_block_example, depthwise_net_example};
 use bitfusion_dnn::synth::{synthesize, SynthConfig};
 use bitfusion_dnn::zoo::Benchmark;
 use bitfusion_service::protocol::{
@@ -34,73 +33,6 @@ fn shuffle<T>(items: &mut [T], rng: &mut SplitMix64) {
         let j = rng.below(i as u64 + 1) as usize;
         items.swap(i, j);
     }
-}
-
-/// The 8 zoo networks by name plus the 2 shipped example models inline.
-fn repeat_sources() -> Vec<ModelSource> {
-    ZOO.iter()
-        .map(|n| ModelSource::zoo(*n))
-        .chain([
-            ModelSource::External(attention_block_example()),
-            ModelSource::External(depthwise_net_example()),
-        ])
-        .collect()
-}
-
-/// The `serve_repeat` sequence: 70 distinct request lines (7 for each of
-/// 10 models) in a seeded order. Together they touch at most 70 plans,
-/// inside the server's 128-entry plan cache. Every model gets two `report`s, a `compare`,
-/// a `sweep` on each axis, a `quantize` and an `asm`; the seed draws each
-/// one's backend, batch and quantization. The per-model command mix is
-/// fixed so that every seed asks for the same kinds of work.
-pub fn serve_repeat(seed: u64) -> Vec<String> {
-    let mut rng = SplitMix64::new(seed ^ 0x5EED_0001);
-    let mut requests = Vec::new();
-    let backend = |rng: &mut SplitMix64| Some(BACKENDS[rng.below(2) as usize]);
-    for source in repeat_sources() {
-        // Two distinct (backend, batch) reports out of the four.
-        let first = (backend(&mut rng), [1, 16][rng.below(2) as usize]);
-        let mut second = (backend(&mut rng), [1, 16][rng.below(2) as usize]);
-        if second == first {
-            second.1 = if first.1 == 1 { 16 } else { 1 };
-        }
-        for (backend, batch) in [first, second] {
-            requests.push(Request::Report {
-                model: source.clone(),
-                batch,
-                bandwidth: None,
-                arch: ArchPreset::Isca45nm,
-                backend,
-                quant: None,
-            });
-        }
-        requests.push(Request::Compare {
-            model: source.clone(),
-            batch: 16,
-            backend: backend(&mut rng),
-            quant: None,
-        });
-        for axis in [SweepAxis::Batch, SweepAxis::Bandwidth] {
-            requests.push(Request::Sweep {
-                model: source.clone(),
-                axis,
-                backend: backend(&mut rng),
-                quant: None,
-            });
-        }
-        requests.push(Request::Quantize {
-            model: source.clone(),
-            quant: (rng.below(2) == 0).then(|| "uniform8".to_string()),
-        });
-        requests.push(Request::Asm {
-            model: source.clone(),
-            batch: 16,
-            arch: ArchPreset::Isca45nm,
-            layer: None,
-        });
-    }
-    shuffle(&mut requests, &mut rng);
-    requests.iter().map(Request::encode).collect()
 }
 
 /// Inline synthesized models per block of the `serve_unique` stream,
@@ -362,7 +294,6 @@ pub fn dse_grids(seed: u64) -> Vec<DseGrid> {
 /// compare across seeds.
 pub fn fingerprint_stream(workload: &str, seed: u64) -> Vec<String> {
     match workload {
-        "serve_repeat" => serve_repeat(seed),
         "serve_unique" => {
             let mut s = UniqueStream::new(seed);
             (0..64).map(|_| s.next_line()).collect()
@@ -396,36 +327,11 @@ mod tests {
 
     #[test]
     fn streams_are_seed_deterministic() {
-        for workload in ["serve_repeat", "serve_unique", "dse_cold"] {
+        for workload in ["serve_unique", "dse_cold"] {
             for seed in [0, 1, 7, 12345] {
                 check_determinism(workload, seed).unwrap();
             }
         }
-    }
-
-    #[test]
-    fn repeat_sequence_is_distinct_and_fits_the_plan_cache() {
-        let lines = serve_repeat(3);
-        let distinct: HashSet<&String> = lines.iter().collect();
-        assert_eq!(distinct.len(), 70);
-        let session = Session::new();
-        for line in &lines {
-            let reply = session.handle(&Request::parse(line).unwrap());
-            assert!(
-                !matches!(reply, Response::Error { .. }),
-                "{line}: {reply:?}"
-            );
-        }
-        let warm = session.cache_stats();
-        assert_eq!(warm.evictions, 0, "{warm:?}");
-        for line in &lines {
-            session.handle(&Request::parse(line).unwrap());
-        }
-        assert_eq!(
-            session.cache_stats().misses,
-            warm.misses,
-            "second pass compiles nothing"
-        );
     }
 
     #[test]

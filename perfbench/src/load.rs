@@ -2,7 +2,7 @@
 //! closed-loop clients (serve) or back-to-back processes (dse), times every
 //! operation and byte-checks every reply against an in-process reference.
 
-use std::borrow::Cow;
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -15,16 +15,12 @@ use bitfusion_service::Session;
 
 use crate::gen::{DseGrid, UniqueStream};
 
-/// Closed-loop client connections of the serve workloads.
+/// Closed-loop client connections of `serve_unique`.
 pub const CLIENTS: usize = 2;
-/// Untimed requests each `serve_unique` connection sends before its timed
-/// window. A `serve_repeat` connection warms up with one whole pass of its
-/// sequence, so its window sees warm caches.
-const UNIQUE_WARMUP_OPS: usize = 64;
+/// Untimed requests each connection sends before its timed window.
+const WARMUP_OPS: usize = 64;
 /// Server starts per run; `setup_s` is their median.
-pub const SERVE_SETUP_SAMPLES: usize = 7;
-/// `list --json` one-shots per `dse_cold` run; `setup_s` is their median.
-pub const DSE_SETUP_SAMPLES: usize = 31;
+pub const SERVE_SETUP_SAMPLES: usize = 15;
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 /// Pause between the socket file appearing and the first connect.
 const CONNECT_DELAY: Duration = Duration::from_millis(2);
@@ -34,6 +30,18 @@ const LIST: &str = r#"{"cmd":"list"}"#;
 /// Whether a reply line is the protocol's error shape (shed included).
 pub fn is_error(reply: &str) -> bool {
     reply.starts_with(r#"{"reply":"error""#)
+}
+
+/// One timed operation: when it completed, how long it took, and its
+/// group (the grid of a `dse` process; 0 for a served request).
+#[derive(Clone, Copy)]
+pub struct Sample {
+    /// Completion time.
+    pub done: Instant,
+    /// Latency, microseconds.
+    pub us: f64,
+    /// Group the operation belongs to.
+    pub group: usize,
 }
 
 /// The reference reply for one request line: a fresh in-process session,
@@ -176,58 +184,29 @@ impl Drop for Server {
     }
 }
 
-/// Where a serve run's request lines come from.
-pub enum Source {
-    /// Each connection replays `lines` in order, cyclically; `refs` are
-    /// their reference replies, checked inline.
-    Repeat {
-        /// The distinct request lines.
-        lines: Vec<String>,
-        /// Their reference replies.
-        refs: Vec<String>,
-    },
-    /// Connections share one stream of new lines; every line sent is kept
-    /// (by id) and its reply checked after the run.
-    Unique(Mutex<(UniqueStream, Vec<String>)>),
-}
+/// The request lines of a serve run: connections share one stream of new
+/// lines, and every line sent is kept, by id, so that its reply can be
+/// checked after the run.
+pub type Source = Mutex<(UniqueStream, Vec<String>)>;
 
-impl Source {
-    /// Untimed requests a connection sends before its window.
-    fn warmup(&self) -> usize {
-        match self {
-            Source::Repeat { lines, .. } => lines.len(),
-            Source::Unique(_) => UNIQUE_WARMUP_OPS,
-        }
-    }
-
-    /// The line a connection sends as its `k`-th request, with its id.
-    fn next(&self, k: usize) -> (usize, Cow<'_, str>) {
-        match self {
-            Source::Repeat { lines, .. } => {
-                let id = k % lines.len();
-                (id, Cow::Borrowed(&lines[id]))
-            }
-            Source::Unique(stream) => {
-                let mut guard = stream.lock().expect("stream lock poisoned");
-                let (stream, sent) = &mut *guard;
-                let line = stream.next_line();
-                sent.push(line.clone());
-                (sent.len() - 1, Cow::Owned(line))
-            }
-        }
-    }
+/// Takes the next line of the stream, with its id.
+fn next_line(source: &Source) -> (usize, String) {
+    let mut guard = source.lock().expect("stream lock poisoned");
+    let (stream, sent) = &mut *guard;
+    let line = stream.next_line();
+    sent.push(line.clone());
+    (sent.len() - 1, line)
 }
 
 /// What one client connection did.
 #[derive(Default)]
 struct ClientLog {
-    timed_us: Vec<f64>,
+    timed: Vec<Sample>,
     window: Option<(Instant, Instant)>,
     ops: u64,
     errors: u64,
-    mismatched: u64,
-    /// Replies of `Source::Unique` lines, checked after the run.
-    deferred: Vec<(usize, String)>,
+    /// Replies by line id, checked after the run.
+    replies: Vec<(usize, String)>,
 }
 
 fn client(
@@ -238,9 +217,8 @@ fn client(
 ) -> Result<ClientLog, String> {
     let mut log = ClientLog::default();
     let mut deadline = None;
-    let warmup = source.warmup();
     for k in 0.. {
-        if k == warmup {
+        if k == WARMUP_OPS {
             barrier.wait();
             let start = Instant::now();
             deadline = Some(start + Duration::from_secs_f64(seconds));
@@ -249,22 +227,23 @@ fn client(
         if deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
-        let (id, line) = source.next(k);
+        let (id, line) = next_line(source);
         let sent = Instant::now();
         let reply = conn.exchange(&line)?;
         let done = Instant::now();
         log.ops += 1;
         if let Some((_, end)) = &mut log.window {
-            log.timed_us.push((done - sent).as_secs_f64() * 1e6);
+            log.timed.push(Sample {
+                done,
+                us: (done - sent).as_secs_f64() * 1e6,
+                group: 0,
+            });
             *end = done;
         }
         if is_error(reply) {
             log.errors += 1;
-            continue;
-        }
-        match source {
-            Source::Repeat { refs, .. } => log.mismatched += u64::from(reply != refs[id]),
-            Source::Unique(_) => log.deferred.push((id, reply.to_string())),
+        } else {
+            log.replies.push((id, reply.to_string()));
         }
     }
     Ok(log)
@@ -274,10 +253,10 @@ fn client(
 pub struct ServeRun {
     /// Spawn-to-first-`list` times of every server start, seconds.
     pub setup_s: Vec<f64>,
-    /// Latency of every timed request, microseconds.
-    pub latencies_us: Vec<f64>,
-    /// Length of the timed window, seconds.
-    pub window_s: f64,
+    /// Every timed request.
+    pub samples: Vec<Sample>,
+    /// The timed window, first start to last completion.
+    pub window: (Instant, Instant),
     /// Requests sent (warm-up included).
     pub attempted: u64,
     /// Error or shed replies.
@@ -335,10 +314,15 @@ pub fn run_serve(
     };
     let peak_rss_mb = server.stop(conn)?;
 
+    let start = logs.iter().filter_map(|l| l.window.map(|w| w.0)).min();
+    let end = logs.iter().filter_map(|l| l.window.map(|w| w.1)).max();
+    let (Some(start), Some(end)) = (start, end) else {
+        return Err("no connection reached its timed window".to_string());
+    };
     let mut run = ServeRun {
         setup_s,
-        latencies_us: Vec::new(),
-        window_s: 0.0,
+        samples: Vec::new(),
+        window: (start, end),
         attempted: 0,
         errors: 0,
         mismatched: 0,
@@ -346,33 +330,20 @@ pub fn run_serve(
         stats,
         peak_rss_mb,
     };
-    let start = logs.iter().filter_map(|l| l.window.map(|w| w.0)).min();
-    let end = logs.iter().filter_map(|l| l.window.map(|w| w.1)).max();
-    if let (Some(start), Some(end)) = (start, end) {
-        run.window_s = (end - start).as_secs_f64();
-    }
-    let mut deferred = Vec::new();
+    let mut replies = Vec::new();
     for log in logs {
-        run.latencies_us.extend(log.timed_us);
+        run.samples.extend(log.timed);
         run.attempted += log.ops;
         run.errors += log.errors;
-        run.mismatched += log.mismatched;
-        deferred.extend(log.deferred);
+        replies.extend(log.replies);
     }
-    match source {
-        Source::Repeat { lines, .. } => {
-            run.distinct = (lines.len() as u64).min(run.attempted);
-        }
-        Source::Unique(stream) => {
-            let sent = &stream.lock().expect("stream lock poisoned").1;
-            run.distinct = sent.len() as u64;
-            let refs = references(sent, workers);
-            run.mismatched += deferred
-                .iter()
-                .filter(|(id, reply)| *reply != refs[*id])
-                .count() as u64;
-        }
-    }
+    let sent = &source.lock().expect("stream lock poisoned").1;
+    run.distinct = sent.iter().collect::<HashSet<_>>().len() as u64;
+    let refs = references(sent, workers);
+    run.mismatched = replies
+        .iter()
+        .filter(|(id, reply)| *reply != refs[*id])
+        .count() as u64;
     Ok(run)
 }
 
@@ -380,11 +351,10 @@ pub fn run_serve(
 pub struct DseRun {
     /// Spawn-to-exit times of `list --json` one-shots, seconds.
     pub setup_s: Vec<f64>,
-    /// Wall time of every timed `dse` process, microseconds, one list per
-    /// grid.
-    pub latencies_us: Vec<Vec<f64>>,
-    /// Length of the timed window, seconds.
-    pub window_s: f64,
+    /// Every timed `dse` process, grouped by grid index.
+    pub samples: Vec<Sample>,
+    /// The timed window.
+    pub window: (Instant, Instant),
     /// Processes run (warm-up included).
     pub attempted: u64,
     /// Processes that failed or printed an error reply.
@@ -396,46 +366,48 @@ pub struct DseRun {
 }
 
 /// Runs one-shot `dse` processes back to back for `seconds`, cycling
-/// through `grids`, after timing [`DSE_SETUP_SAMPLES`] `list --json`
-/// one-shots and one untimed warm-up process.
+/// through `grids`, after one untimed warm-up process. A `list --json`
+/// one-shot runs before every `dse` process and times set-up, so the
+/// set-up samples spread over the whole window as the operations do; its
+/// time is not part of any operation's.
 pub fn run_dse(cli: &Path, grids: &[DseGrid], seconds: f64) -> Result<DseRun, String> {
     let list_reference = format!("{}\n", reference(LIST));
     let list_argv = ["list".to_string(), "--json".to_string()];
-    let mut setup_s = Vec::new();
-    for _ in 0..DSE_SETUP_SAMPLES {
-        let shot = one_shot(cli, &list_argv)?;
-        if !shot.ok || shot.stdout != list_reference.as_bytes() {
-            return Err("`list --json` differs from the reference".to_string());
-        }
-        setup_s.push(shot.took.as_secs_f64());
-    }
     let refs: Vec<String> = grids
         .iter()
         .map(|g| format!("{}\n", Session::new().handle(&g.request()).encode()))
         .collect();
     let mut run = DseRun {
-        setup_s,
-        latencies_us: vec![Vec::new(); grids.len()],
-        window_s: 0.0,
+        setup_s: Vec::new(),
+        samples: Vec::new(),
+        window: (Instant::now(), Instant::now()),
         attempted: 0,
         errors: 0,
         mismatched: 0,
         peak_rss_mb: Vec::new(),
     };
-    let mut window = None;
     for k in 0.. {
         // Op 0 is the untimed warm-up.
         if k == 1 {
-            window = Some(Instant::now());
+            run.window.0 = Instant::now();
         }
-        if window.is_some_and(|w| w.elapsed().as_secs_f64() >= seconds) {
+        if k >= 1 && run.window.0.elapsed().as_secs_f64() >= seconds {
             break;
+        }
+        let list = one_shot(cli, &list_argv)?;
+        if !list.ok || list.stdout != list_reference.as_bytes() {
+            return Err("`list --json` differs from the reference".to_string());
         }
         let g = k % grids.len();
         let shot = one_shot(cli, &grids[g].argv())?;
         run.attempted += 1;
         if k >= 1 {
-            run.latencies_us[g].push(shot.took.as_secs_f64() * 1e6);
+            run.setup_s.push(list.took.as_secs_f64());
+            run.samples.push(Sample {
+                done: Instant::now(),
+                us: shot.took.as_secs_f64() * 1e6,
+                group: g,
+            });
             run.peak_rss_mb.push(shot.peak_rss_mb);
         }
         if !shot.ok || is_error(&String::from_utf8_lossy(&shot.stdout)) {
@@ -444,7 +416,7 @@ pub fn run_dse(cli: &Path, grids: &[DseGrid], seconds: f64) -> Result<DseRun, St
             run.mismatched += 1;
         }
     }
-    run.window_s = window.map_or(0.0, |w| w.elapsed().as_secs_f64());
+    run.window.1 = Instant::now();
     Ok(run)
 }
 

@@ -1,11 +1,11 @@
 //! `perfbench`: the repository benchmark. It drives the real
-//! `bitfusion-cli` with one of three seeded workloads, byte-checks every
+//! `bitfusion-cli` with one of two seeded workloads, byte-checks every
 //! reply against an in-process reference, and prints every metric by name
 //! with its unit. See `README.md` beside this crate for the workloads and
 //! the metric map.
 //!
 //! ```text
-//! perfbench --workload serve_repeat|serve_unique|dse_cold --seed N
+//! perfbench --workload serve_unique|dse_cold --seed N
 //!           --seconds S --trace 0|1 --cli PATH --out DIR
 //! ```
 //!
@@ -24,17 +24,22 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Mutex;
+use std::time::Instant;
 
 use bitfusion_core::json::Json;
 
-use crate::load::{Source, CLIENTS};
+use crate::load::{Sample, CLIENTS};
 use crate::stats::{median, quantile};
 use crate::trace::Sessions;
 
-/// Passes over the `serve_repeat` sequence in its traced replay.
-const TRACE_REPEAT_PASSES: usize = 8;
 /// Requests of the `serve_unique` stream in its traced replay.
 const TRACE_UNIQUE_REQUESTS: usize = 600;
+/// Rounds over the `dse_cold` grids in its traced replay.
+const TRACE_DSE_ROUNDS: usize = 4;
+/// Slice length of the `serve_unique` timed window, seconds.
+const SERVE_SLICE_S: f64 = 1.0;
+/// Slice length of the `dse_cold` timed window, seconds.
+const DSE_SLICE_S: f64 = 2.0;
 
 struct Args {
     workload: String,
@@ -58,7 +63,7 @@ fn parse_args() -> Result<Args, String> {
     }
     let get = |flag: &str| flags.get(flag).copied().ok_or(format!("missing {flag}"));
     let workload = get("--workload")?.to_string();
-    if !["serve_repeat", "serve_unique", "dse_cold"].contains(&workload.as_str()) {
+    if !["serve_unique", "dse_cold"].contains(&workload.as_str()) {
         return Err(format!("unknown workload `{workload}`"));
     }
     let seconds: f64 = get("--seconds")?
@@ -84,19 +89,25 @@ fn parse_args() -> Result<Args, String> {
 /// What a timed run measured, whichever workload drove it.
 struct Measured {
     setup_s: Vec<f64>,
-    /// Timed operation latencies, microseconds, in groups: one group for
-    /// the serve workloads, one per grid for `dse_cold` (whose grids differ
-    /// in cost, so a percentile over their mixture would jump between
-    /// grids from run to run).
-    latencies_us: Vec<Vec<f64>>,
-    window_s: f64,
+    /// Timed operations. Their groups are one for `serve_unique` and one
+    /// per grid for `dse_cold`, whose grids differ in cost, so a
+    /// percentile over their mixture would jump between grids from run to
+    /// run.
+    samples: Vec<Sample>,
+    groups: usize,
+    window: (Instant, Instant),
+    /// Operations ran one at a time with harness work between them
+    /// (`dse_cold`), so throughput is operations over their summed time.
+    sequential: bool,
     attempted: u64,
     errors: u64,
     mismatched: u64,
     distinct: u64,
     peak_rss_mb: f64,
-    /// `net.*` metrics (serve workloads only).
+    /// `net.*` metrics (`serve_unique` only).
     net: BTreeMap<&'static str, f64>,
+    /// Median client-side latency, microseconds.
+    client_p50_us: f64,
 }
 
 fn measure(args: &Args, cores: usize) -> Result<Measured, String> {
@@ -105,8 +116,11 @@ fn measure(args: &Args, cores: usize) -> Result<Measured, String> {
         let run = load::run_dse(&args.cli, &grids, args.seconds)?;
         return Ok(Measured {
             setup_s: run.setup_s,
-            latencies_us: run.latencies_us,
-            window_s: run.window_s,
+            client_p50_us: median(&mut run.samples.iter().map(|s| s.us).collect::<Vec<_>>()),
+            samples: run.samples,
+            groups: grids.len(),
+            window: run.window,
+            sequential: true,
             attempted: run.attempted,
             errors: run.errors,
             mismatched: run.mismatched,
@@ -115,21 +129,13 @@ fn measure(args: &Args, cores: usize) -> Result<Measured, String> {
             net: BTreeMap::new(),
         });
     }
-    let source = if args.workload == "serve_repeat" {
-        let lines = gen::serve_repeat(args.seed);
-        let refs = load::references(&lines, cores);
-        Source::Repeat { lines, refs }
-    } else {
-        Source::Unique(Mutex::new((gen::UniqueStream::new(args.seed), Vec::new())))
-    };
+    let source = Mutex::new((gen::UniqueStream::new(args.seed), Vec::new()));
     std::fs::create_dir_all(&args.out).map_err(|e| format!("{}: {e}", args.out.display()))?;
     let sock = args.out.join(format!("serve-{}.sock", std::process::id()));
     let run = load::run_serve(&args.cli, &sock, cores, &source, args.seconds)?;
     let s = &run.stats;
-    let client_p50_us = median(&mut run.latencies_us.clone());
     let net = BTreeMap::from([
         ("net.server_p50_us", s.latency.p50_us as f64),
-        ("net.transport_us", client_p50_us - s.latency.p50_us as f64),
         (
             "net.coalesced_frac",
             s.coalesced as f64 / s.received.max(1) as f64,
@@ -138,8 +144,11 @@ fn measure(args: &Args, cores: usize) -> Result<Measured, String> {
     ]);
     Ok(Measured {
         setup_s: run.setup_s,
-        latencies_us: vec![run.latencies_us],
-        window_s: run.window_s,
+        client_p50_us: median(&mut run.samples.iter().map(|s| s.us).collect::<Vec<_>>()),
+        samples: run.samples,
+        groups: 1,
+        window: run.window,
+        sequential: false,
         attempted: run.attempted,
         errors: run.errors,
         mismatched: run.mismatched,
@@ -152,11 +161,6 @@ fn measure(args: &Args, cores: usize) -> Result<Measured, String> {
 /// The requests the traced run replays, and how they share a session.
 fn trace_lines(args: &Args) -> (Vec<String>, Sessions) {
     match args.workload.as_str() {
-        "serve_repeat" => {
-            let lines = gen::serve_repeat(args.seed);
-            let passes = (0..TRACE_REPEAT_PASSES).flat_map(|_| lines.iter().cloned());
-            (passes.collect(), Sessions::Shared)
-        }
         "serve_unique" => {
             let mut stream = gen::UniqueStream::new(args.seed);
             let lines = (0..TRACE_UNIQUE_REQUESTS)
@@ -165,65 +169,100 @@ fn trace_lines(args: &Args) -> (Vec<String>, Sessions) {
             (lines, Sessions::Shared)
         }
         _ => {
-            // Two rounds over the grids: the first also settles the
-            // allocator, which a lone cold sample would charge to
-            // whichever side ran first.
+            // Rounds over the grids, so that each grid is replayed with
+            // the traced and the untraced side first alike.
             let grids = gen::dse_grids(args.seed);
-            let lines = grids.iter().chain(&grids).map(|g| g.request().encode());
-            (lines.collect(), Sessions::PerRequest)
+            let lines = (0..TRACE_DSE_ROUNDS)
+                .flat_map(|_| grids.iter().map(|g| g.request().encode()))
+                .collect();
+            (lines, Sessions::PerRequest)
         }
     }
 }
 
-/// Unit of a per-layer metric, from its name.
-fn unit_of(name: &str) -> &'static str {
-    if name.ends_with("_us") || name == "resolve.us" {
-        "us"
-    } else if name.ends_with("_ms") {
-        "ms"
-    } else if name.ends_with("_kb") {
-        "KB"
-    } else if name.ends_with("_rate")
-        || name.ends_with("_frac")
-        || name == "trace.coverage"
-        || name == "trace.overhead"
-    {
-        "frac"
-    } else {
-        "count"
-    }
+/// The per-layer metrics every `--trace 1` run reports, with their units;
+/// a layer that is not on the workload's path reads 0.
+const PER_LAYER: [(&str, &str); 26] = [
+    ("protocol.parse_us", "us"),
+    ("protocol.encode_us", "us"),
+    ("protocol.reply_kb", "KB"),
+    ("net.server_p50_us", "us"),
+    ("net.transport_us", "us"),
+    ("net.coalesced_frac", "frac"),
+    ("net.shed", "count"),
+    ("baselines.compare_us", "us"),
+    ("resolve.us", "us"),
+    ("compiler.compile_us", "us"),
+    ("compiler.plan_hit_rate", "frac"),
+    ("isa.program_build_us", "us"),
+    ("sim.analytic_layer_us", "us"),
+    ("sim.event_layer_us", "us"),
+    ("sim.layer_hit_rate", "frac"),
+    ("energy.layer_us", "us"),
+    ("dse.explore_1w_ms", "ms"),
+    ("dse.explore_2w_ms", "ms"),
+    ("dse.layer_evals", "count"),
+    ("dse.layer_unique", "count"),
+    ("dse.compile_unique", "count"),
+    ("session.handle_us", "us"),
+    ("trace.coverage", "frac"),
+    ("trace.overhead", "frac"),
+    ("workload.distinct_frac", "frac"),
+    ("workload.ops", "count"),
+];
+
+/// Throughput and latency percentiles of one slice of the timed window.
+struct SliceFigures {
+    ops_per_s: f64,
+    p50_ms: f64,
+    p90_ms: f64,
+    p99_ms: f64,
+    samples: usize,
 }
 
-/// The per-layer metrics every `--trace 1` run reports; a layer that is
-/// not on the workload's path reads 0.
-const PER_LAYER: [&str; 26] = [
-    "protocol.parse_us",
-    "protocol.encode_us",
-    "protocol.reply_kb",
-    "net.server_p50_us",
-    "net.transport_us",
-    "net.coalesced_frac",
-    "net.shed",
-    "baselines.compare_us",
-    "resolve.us",
-    "compiler.compile_us",
-    "compiler.plan_hit_rate",
-    "isa.program_build_us",
-    "sim.analytic_layer_us",
-    "sim.event_layer_us",
-    "sim.layer_hit_rate",
-    "energy.layer_us",
-    "dse.explore_1w_ms",
-    "dse.explore_2w_ms",
-    "dse.layer_evals",
-    "dse.layer_unique",
-    "dse.compile_unique",
-    "session.handle_us",
-    "trace.coverage",
-    "trace.overhead",
-    "workload.distinct_frac",
-    "workload.ops",
-];
+/// Cuts the timed window into slices of about `slice_s` seconds, by
+/// completion time, and computes each slice's figures.
+///
+/// Each sample is scaled by its group's median over the run, the slice's
+/// samples are pooled, and a pooled quantile is scaled back by the mean
+/// group median; with one group this is the plain quantile.
+fn slices(m: &Measured, slice_s: f64) -> Vec<SliceFigures> {
+    let window_s = (m.window.1 - m.window.0).as_secs_f64();
+    let n = ((window_s / slice_s).round() as usize).max(1);
+    let width = window_s / n as f64;
+    let mut by_group = vec![Vec::new(); m.groups];
+    for s in &m.samples {
+        by_group[s.group].push(s.us);
+    }
+    let medians: Vec<f64> = by_group.iter_mut().map(|g| median(g)).collect();
+    let present: Vec<f64> = medians.iter().copied().filter(|x| x.is_finite()).collect();
+    let mean_median = present.iter().sum::<f64>() / present.len() as f64;
+    let mut buckets: Vec<Vec<&Sample>> = vec![Vec::new(); n];
+    for s in &m.samples {
+        let at = s.done.saturating_duration_since(m.window.0).as_secs_f64();
+        buckets[((at / width) as usize).min(n - 1)].push(s);
+    }
+    buckets
+        .iter()
+        .filter(|b| !b.is_empty())
+        .map(|b| {
+            let mut scaled: Vec<f64> = b.iter().map(|s| s.us / medians[s.group]).collect();
+            let busy_s = if m.sequential {
+                b.iter().map(|s| s.us).sum::<f64>() / 1e6
+            } else {
+                width
+            };
+            let mut ms = |q: f64| quantile(&mut scaled, q) * mean_median / 1e3;
+            SliceFigures {
+                ops_per_s: b.len() as f64 / busy_s,
+                p50_ms: ms(0.50),
+                p90_ms: ms(0.90),
+                p99_ms: ms(0.99),
+                samples: b.len(),
+            }
+        })
+        .collect()
+}
 
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
@@ -231,27 +270,21 @@ fn run() -> Result<ExitCode, String> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let m = measure(&args, cores)?;
     let failed = m.errors + m.mismatched;
-    let samples: usize = m.latencies_us.iter().map(Vec::len).sum();
-    if m.latencies_us.iter().any(Vec::is_empty) || m.window_s <= 0.0 {
+    if m.samples.is_empty() || m.window.1 <= m.window.0 {
         return Err("the timed window completed no operation".to_string());
     }
-    // Each group's samples are scaled by the group's median and pooled, so
-    // a tail percentile rests on every sample rather than on one group's
-    // few; the pooled quantile is scaled back by the mean group median.
-    // With one group this is the plain quantile.
-    let medians: Vec<f64> = m
-        .latencies_us
-        .iter()
-        .map(|g| median(&mut g.clone()))
-        .collect();
-    let mean_median = medians.iter().sum::<f64>() / medians.len() as f64;
-    let mut pooled: Vec<f64> = m
-        .latencies_us
-        .iter()
-        .zip(&medians)
-        .flat_map(|(g, med)| g.iter().map(move |x| x / med))
-        .collect();
-    let mut percentile_ms = |q: f64| quantile(&mut pooled, q) * mean_median / 1e3;
+    let slice_s = if m.sequential {
+        DSE_SLICE_S
+    } else {
+        SERVE_SLICE_S
+    };
+    let slices = slices(&m, slice_s);
+    // The slice quartile on the metric's good side: contention from the
+    // host's other tenants comes in bursts and only ever slows a slice.
+    let across = |figure: fn(&SliceFigures) -> f64, higher_is_better: bool| {
+        let mut values: Vec<f64> = slices.iter().map(figure).collect();
+        quantile(&mut values, if higher_is_better { 0.75 } else { 0.25 })
+    };
 
     let mut context = vec![
         ("workload", Json::Str(args.workload.clone())),
@@ -265,8 +298,16 @@ fn run() -> Result<ExitCode, String> {
                 CLIENTS as u64
             }),
         ),
-        ("samples", Json::uint(samples as u64)),
-        ("window_s", Json::float(m.window_s)),
+        ("samples", Json::uint(m.samples.len() as u64)),
+        ("slices", Json::uint(slices.len() as u64)),
+        (
+            "slice_samples_min",
+            Json::uint(slices.iter().map(|f| f.samples).min().unwrap_or(0) as u64),
+        ),
+        (
+            "window_s",
+            Json::float((m.window.1 - m.window.0).as_secs_f64()),
+        ),
         ("setup_samples", Json::uint(m.setup_s.len() as u64)),
         ("errors", Json::uint(m.errors)),
         ("mismatched", Json::uint(m.mismatched)),
@@ -297,6 +338,7 @@ fn run() -> Result<ExitCode, String> {
                 "unaccounted_us_per_op",
                 Json::float(report.unaccounted_us_per_op),
             ),
+            ("probe_ms", Json::float(report.probe_ms)),
             ("unaccounted_is", Json::Str(unaccounted_is.to_string())),
         ]);
         let mut all = report.metrics;
@@ -306,17 +348,24 @@ fn run() -> Result<ExitCode, String> {
             m.distinct as f64 / m.attempted as f64,
         );
         all.insert("workload.ops", m.attempted as f64);
+        // Both medians are unquantized; the server's own histogram p50 is a
+        // power-of-two bucket bound, too coarse to subtract. Clamped at 0,
+        // since the two medians come from different runs of the requests.
+        if !m.net.is_empty() {
+            let handle_us = all.get("session.handle_us").copied().unwrap_or(0.0);
+            all.insert("net.transport_us", (m.client_p50_us - handle_us).max(0.0));
+        }
         PER_LAYER
             .iter()
-            .map(|name| (*name, all.get(name).copied().unwrap_or(0.0), unit_of(name)))
+            .map(|(name, unit)| (*name, all.get(name).copied().unwrap_or(0.0), *unit))
             .collect()
     } else {
         vec![
             ("setup_s", median(&mut m.setup_s.clone()), "s"),
-            ("ops_per_s", samples as f64 / m.window_s, "1/s"),
-            ("op_p50_ms", percentile_ms(0.50), "ms"),
-            ("op_p90_ms", percentile_ms(0.90), "ms"),
-            ("op_p99_ms", percentile_ms(0.99), "ms"),
+            ("ops_per_s", across(|f| f.ops_per_s, true), "1/s"),
+            ("op_p50_ms", across(|f| f.p50_ms, false), "ms"),
+            ("op_p90_ms", across(|f| f.p90_ms, false), "ms"),
+            ("op_p99_ms", across(|f| f.p99_ms, false), "ms"),
             ("ok_frac", 1.0 - failed as f64 / m.attempted as f64, "frac"),
             ("peak_rss_mb", m.peak_rss_mb, "MB"),
         ]

@@ -5,8 +5,10 @@
 //! `ArtifactCache::get_or_compile`; `SegmentProgram::compile`; the layer
 //! tier and backend evaluation; `energy_for_layer`; the `baselines` sims;
 //! `Response::encode`. Each request also runs once untraced through a real
-//! `Session`, which gives `session.handle_us` and the base of
-//! `trace.coverage` and `trace.overhead`.
+//! `Session`, which gives `session.handle_us`, the base of
+//! `trace.coverage` and `trace.overhead`, and the cache hit rates. After
+//! every request the mirror's plan and layer caches must have compiled and
+//! evaluated exactly what the session's did, or the replay fails.
 //!
 //! Spans are kept in memory and written out as JSON lines at the end.
 //! A *stage* span is a step of the request's own pipeline; stage spans of
@@ -15,17 +17,20 @@
 //! already contains (the inline-model `parse_model` inside
 //! `Request::parse`; `SegmentProgram::compile` and `energy_for_layer`
 //! inside a backend's layer evaluation; the DSE worker-count and
-//! per-point probes). Probes cost wall time (they are part of the
-//! overhead) but are not added to the coverage.
+//! per-point probes). Probes are neither coverage nor overhead: their
+//! wall time is taken out of the traced time before the overhead is
+//! computed.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::Write;
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bitfusion_baselines::{EyerissSim, GpuMode, GpuModel, StripesSim};
-use bitfusion_compiler::{layer_fingerprint, ArtifactCache, ExecutionPlan, LayerKey, PlannedLayer};
+use bitfusion_compiler::{
+    layer_fingerprint, ArtifactCache, CacheStats, ExecutionPlan, LayerKey, PlannedLayer,
+};
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_core::grid::ArchGrid;
 use bitfusion_dnn::model::Model;
@@ -77,6 +82,8 @@ struct Tracer {
     req: u32,
     /// While positive, every span is recorded as a probe.
     probe_depth: u32,
+    /// Wall time of the outermost probe regions, microseconds.
+    probe_us: f64,
     spans: Vec<Span>,
     counts: Vec<DseCounts>,
 }
@@ -104,10 +111,16 @@ impl Tracer {
         value
     }
 
+    /// Runs `f` as a probe region: its spans are probes, and its wall time
+    /// is set aside from the overhead.
     fn probe<T>(&mut self, f: impl FnOnce(&mut Tracer) -> T) -> T {
+        let start = Instant::now();
         self.probe_depth += 1;
         let value = f(self);
         self.probe_depth -= 1;
+        if self.probe_depth == 0 {
+            self.probe_us += start.elapsed().as_secs_f64() * 1e6;
+        }
         value
     }
 }
@@ -131,20 +144,20 @@ impl Traced {
         }
     }
 
-    fn handle(&mut self, t: &mut Tracer, line: &str, response: &Response) {
+    /// Parses and serves `line`, up to the reply's encoding.
+    fn handle(&mut self, t: &mut Tracer, line: &str) {
         let request = t.time("protocol.parse", Kind::Stage, || Request::parse(line));
         if let Ok(request) = request {
             if let Some(model) = inline_model(&request) {
-                let text = export_model(model).encode();
-                t.time("schema.parse_model", Kind::Probe, || {
-                    black_box(parse_model(&text).is_ok())
+                t.probe(|t| {
+                    let text = export_model(model).encode();
+                    t.time("schema.parse_model", Kind::Probe, || {
+                        black_box(parse_model(&text).is_ok())
+                    });
                 });
             }
             self.dispatch(t, &request);
         }
-        t.time("protocol.encode", Kind::Stage, || {
-            black_box(response.encode())
-        });
     }
 
     fn dispatch(&mut self, t: &mut Tracer, request: &Request) -> Option<()> {
@@ -383,20 +396,22 @@ impl Traced {
             return perf;
         }
         t.push("sim.layer_miss", Kind::Stage, start, end);
-        if backend == BackendChoice::Event {
-            t.time("isa.program_build", Kind::Probe, || {
-                black_box(SegmentProgram::compile(&layer.block))
+        t.probe(|t| {
+            if backend == BackendChoice::Event {
+                t.time("isa.program_build", Kind::Probe, || {
+                    black_box(SegmentProgram::compile(&layer.block))
+                });
+            }
+            let summary = summarize(&layer.block);
+            t.time("energy.layer", Kind::Probe, || {
+                black_box(energy_for_layer(
+                    layer,
+                    arch,
+                    &self.energy,
+                    &self.opts,
+                    &summary,
+                ))
             });
-        }
-        let summary = summarize(&layer.block);
-        t.time("energy.layer", Kind::Probe, || {
-            black_box(energy_for_layer(
-                layer,
-                arch,
-                &self.energy,
-                &self.opts,
-                &summary,
-            ))
         });
         let perf = match backend {
             BackendChoice::Analytic => t.time("sim.analytic_layer", Kind::Stage, || {
@@ -450,6 +465,7 @@ fn resolve(t: &mut Tracer, source: &ModelSource, quant: Option<&str>) -> Option<
 /// The `DseSpec` `Session` builds for a `dse` request.
 fn dse_spec(p: &DseParams, options: SimOptions) -> Option<bitfusion_sim::DseSpec> {
     let networks: Vec<Model> = match &p.networks {
+        None if !p.models.is_empty() => Vec::new(),
         None => bitfusion_dnn::zoo::Benchmark::ALL
             .iter()
             .map(|b| b.model())
@@ -503,12 +519,33 @@ struct DseCounts {
     compile_unique: u64,
 }
 
+/// Hits and misses of one cache tier, summed over requests.
+#[derive(Default)]
+struct Counted {
+    hits: u64,
+    misses: u64,
+}
+
+impl Counted {
+    /// Adds the lookups between two snapshots of the tier's counters.
+    fn add(&mut self, before: CacheStats, after: CacheStats) {
+        self.hits += after.hits - before.hits;
+        self.misses += after.misses - before.misses;
+    }
+
+    fn hit_rate(&self) -> f64 {
+        self.hits as f64 / (self.hits + self.misses) as f64
+    }
+}
+
 /// What a traced replay measured.
 pub struct TraceReport {
     /// Per-layer metrics by name.
     pub metrics: BTreeMap<&'static str, f64>,
     /// Untraced time not covered by stage spans, microseconds per request.
     pub unaccounted_us_per_op: f64,
+    /// Wall time of the probes, milliseconds.
+    pub probe_ms: f64,
     /// Requests replayed.
     pub requests: usize,
 }
@@ -533,6 +570,7 @@ pub fn replay(
         origin: Instant::now(),
         req: 0,
         probe_depth: 0,
+        probe_us: 0.0,
         spans: Vec::new(),
         counts: Vec::new(),
     };
@@ -541,10 +579,23 @@ pub fn replay(
     let mut untraced_us = Vec::with_capacity(lines.len());
     let mut traced_us = Vec::with_capacity(lines.len());
     let mut reply_bytes = 0usize;
+    // Cache counters of the real sessions, summed over requests.
+    let (mut plans, mut layers) = (Counted::default(), Counted::default());
     for (i, line) in lines.iter().enumerate() {
         if sessions == Sessions::PerRequest {
             session = Session::new();
             traced = Traced::new();
+        }
+        let before = (session.cache_stats(), session.layer_cache_stats());
+        t.req = u32::try_from(i).map_err(|e| e.to_string())?;
+        // Alternate which side runs first, so that neither always meets
+        // the colder allocator and CPU caches.
+        let traced_first = i % 2 == 1;
+        let mut traced_time = Duration::ZERO;
+        if traced_first {
+            let start = Instant::now();
+            traced.handle(&mut t, line);
+            traced_time += start.elapsed();
         }
         let start = Instant::now();
         let response = match Request::parse(line) {
@@ -554,11 +605,32 @@ pub fn replay(
         let encoded = response.encode();
         untraced_us.push(start.elapsed().as_secs_f64() * 1e6);
         reply_bytes += encoded.len();
-
-        t.req = u32::try_from(i).map_err(|e| e.to_string())?;
         let start = Instant::now();
-        traced.handle(&mut t, line, &response);
-        traced_us.push(start.elapsed().as_secs_f64() * 1e6);
+        if !traced_first {
+            traced.handle(&mut t, line);
+        }
+        t.time("protocol.encode", Kind::Stage, || {
+            black_box(response.encode())
+        });
+        traced_us.push((traced_time + start.elapsed()).as_secs_f64() * 1e6);
+
+        let (plan_stats, layer_stats) = (session.cache_stats(), session.layer_cache_stats());
+        let (mirror_plans, mirror_layers) = (traced.cache.stats(), traced.layers.stats());
+        // Plan lookups must match one for one. Layer lookups may not: a
+        // sweep or DSE looks each distinct layer key up once, where the
+        // mirror looks up every layer of every point. So the layer tier is
+        // held to the same evaluations (misses) and residents.
+        if plan_stats != mirror_plans
+            || (layer_stats.misses, layer_stats.len) != (mirror_layers.misses, mirror_layers.len)
+        {
+            return Err(format!(
+                "the traced mirror diverged from Session on request {i} ({line}): \
+                 plan cache {mirror_plans:?} vs {plan_stats:?}, \
+                 layer cache {mirror_layers:?} vs {layer_stats:?}"
+            ));
+        }
+        plans.add(before.0, plan_stats);
+        layers.add(before.1, layer_stats);
     }
     write_spans(&t, spans_path).map_err(|e| format!("{}: {e}", spans_path.display()))?;
 
@@ -574,7 +646,7 @@ pub fn replay(
     m.insert("trace.coverage", stage_total / untraced_total);
     m.insert(
         "trace.overhead",
-        traced_us.iter().sum::<f64>() / untraced_total - 1.0,
+        (traced_us.iter().sum::<f64>() - t.probe_us) / untraced_total - 1.0,
     );
     m.insert(
         "protocol.reply_kb",
@@ -627,7 +699,6 @@ pub fn replay(
             .map(Span::us)
             .collect()
     };
-    let count = |name: &str| t.spans.iter().filter(|s| s.name == name).count() as f64;
     for (metric, span) in [
         ("compiler.compile_us", "compiler.compile"),
         ("isa.program_build_us", "isa.program_build"),
@@ -637,15 +708,8 @@ pub fn replay(
     ] {
         m.insert(metric, median(&mut per_call(span)));
     }
-    let ratio = |hits: f64, misses: f64| hits / (hits + misses);
-    m.insert(
-        "compiler.plan_hit_rate",
-        ratio(count("compiler.plan_hit"), count("compiler.compile")),
-    );
-    m.insert(
-        "sim.layer_hit_rate",
-        ratio(count("sim.layer_hit"), count("sim.layer_miss")),
-    );
+    m.insert("compiler.plan_hit_rate", plans.hit_rate());
+    m.insert("sim.layer_hit_rate", layers.hit_rate());
     m.insert(
         "dse.explore_1w_ms",
         median(&mut per_call("dse.explore_1w")) / 1e3,
@@ -668,6 +732,7 @@ pub fn replay(
     Ok(TraceReport {
         metrics: m,
         unaccounted_us_per_op: (untraced_total - stage_total) / lines.len().max(1) as f64,
+        probe_ms: t.probe_us / 1e3,
         requests: lines.len(),
     })
 }
