@@ -47,7 +47,6 @@ use bitfusion_dnn::model::Model;
 
 use crate::error::CompileError;
 use crate::plan::{compile, ExecutionPlan, PlannedLayer};
-use crate::store::DiskArtifactStore;
 
 /// A cached compile result: the plan, or the error the compiler produced.
 pub type CachedPlan = Arc<Result<ExecutionPlan, CompileError>>;
@@ -212,7 +211,6 @@ struct Inner {
 pub struct ArtifactCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    store: Mutex<Option<Arc<DiskArtifactStore>>>,
 }
 
 /// Default capacity: comfortably holds the whole zoo at several batch
@@ -251,41 +249,12 @@ impl ArtifactCache {
                 evictions: 0,
             }),
             capacity: capacity.max(1),
-            store: Mutex::new(None),
         }
     }
 
-    /// Attaches a persistent disk tier beneath this cache: [`Self::lookup`]
-    /// falls through to it on a memory miss (read-through) and
-    /// [`Self::insert`] persists successful plans to it (write-behind).
-    /// Memory-tier [`CacheStats`] semantics are unchanged — a disk-served
-    /// plan still counts as a memory miss; the disk traffic shows up in
-    /// [`DiskArtifactStore::stats`].
-    pub fn attach_store(&self, store: Arc<DiskArtifactStore>) {
-        *self.store.lock().expect("artifact cache store poisoned") = Some(store);
-    }
-
-    fn disk(&self) -> Option<Arc<DiskArtifactStore>> {
-        self.store
-            .lock()
-            .expect("artifact cache store poisoned")
-            .clone()
-    }
-
-    /// Looks `key` up — memory tier first, then the attached disk tier (if
-    /// any) — counting a memory hit or miss and refreshing recency on a
-    /// hit. A disk-served plan is promoted into the memory tier.
+    /// Looks `key` up, counting a hit or miss and refreshing recency on a
+    /// hit.
     pub fn lookup(&self, key: &ArtifactKey) -> Option<CachedPlan> {
-        if let Some(plan) = self.lookup_memory(key) {
-            return Some(plan);
-        }
-        let store = self.disk()?;
-        let plan: CachedPlan = Arc::new(Ok(store.load_plan(key)?));
-        self.insert_memory(key.clone(), plan.clone());
-        Some(plan)
-    }
-
-    fn lookup_memory(&self, key: &ArtifactKey) -> Option<CachedPlan> {
         let mut inner = self.inner.lock().expect("artifact cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
@@ -314,20 +283,8 @@ impl ArtifactCache {
 
     /// Inserts a compile result, evicting the least-recently-used entry
     /// when full (failed plans are evicted before successful ones — they
-    /// are cheap to reproduce). Successful plans are also written behind
-    /// to the attached disk tier, if any; failures stay memory-only (they
-    /// are cheap to reproduce and a persisted failure could outlive the
-    /// bug that caused it).
+    /// are cheap to reproduce).
     pub fn insert(&self, key: ArtifactKey, plan: CachedPlan) {
-        if let Ok(ok) = plan.as_ref() {
-            if let Some(store) = self.disk() {
-                store.store_plan(&key, ok);
-            }
-        }
-        self.insert_memory(key, plan);
-    }
-
-    fn insert_memory(&self, key: ArtifactKey, plan: CachedPlan) {
         let mut inner = self.inner.lock().expect("artifact cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
@@ -448,8 +405,10 @@ impl LayerKey {
 /// Default layer-tier capacity. Deep networks on a broad grid produce two
 /// orders of magnitude more unique layer keys than model keys, but each
 /// entry is one small evaluation result rather than a compiled plan, so
-/// the tier is sized accordingly above [`DEFAULT_CACHE_CAPACITY`].
-pub const DEFAULT_LAYER_CACHE_CAPACITY: usize = 16_384;
+/// the tier is sized accordingly above [`DEFAULT_CACHE_CAPACITY`]. It is
+/// 7/8 of 16 384: `HashMap` keeps its load at or below 7/8, so one more
+/// entry would double the table to 32 768 slots and add about 7 MB.
+pub const DEFAULT_LAYER_CACHE_CAPACITY: usize = 14_336;
 
 struct LayerEntry<V> {
     value: V,
@@ -473,11 +432,13 @@ struct LayerInner<V> {
 /// `LayerPerf` (as `LayerPerfCache`). Lookup and insert mirror
 /// [`ArtifactCache`]: counters on every lookup, recency refreshed on hits,
 /// LRU eviction at capacity (there is no cheap-to-reproduce failure class
-/// here — evaluation is total — so eviction is recency only).
+/// here — evaluation is total — so eviction is recency only). Unlike the
+/// 128-plan model tier, this tier is large enough that scanning it for one
+/// victim on every full insert would dominate a serving workload, so
+/// eviction works in batches (see [`LayerArtifactCache::insert`]).
 pub struct LayerArtifactCache<V> {
     inner: Mutex<LayerInner<V>>,
     capacity: usize,
-    store: Mutex<Option<Arc<DiskArtifactStore>>>,
 }
 
 impl<V> Default for LayerArtifactCache<V> {
@@ -512,25 +473,7 @@ impl<V> LayerArtifactCache<V> {
                 evictions: 0,
             }),
             capacity: capacity.max(1),
-            store: Mutex::new(None),
         }
-    }
-
-    /// Attaches a persistent disk tier. The value codec lives with the
-    /// instantiating crate (the simulator, for `LayerPerf`), so this tier
-    /// is consulted by the caller via [`Self::disk`] rather than inside
-    /// [`Self::lookup`]; memory-tier [`CacheStats`] semantics are
-    /// unchanged.
-    pub fn attach_store(&self, store: Arc<DiskArtifactStore>) {
-        *self.store.lock().expect("layer cache store poisoned") = Some(store);
-    }
-
-    /// The attached disk tier, if any.
-    pub fn disk(&self) -> Option<Arc<DiskArtifactStore>> {
-        self.store
-            .lock()
-            .expect("layer cache store poisoned")
-            .clone()
     }
 
     /// Whether `key` is resident, without touching counters or recency.
@@ -585,22 +528,21 @@ impl<V: Clone> LayerArtifactCache<V> {
         }
     }
 
-    /// Inserts an evaluation result, evicting the least-recently-used
-    /// entry when full.
+    /// Inserts an evaluation result. A full cache first evicts its
+    /// least-recently-used eighth, so the scan for the oldest entries runs
+    /// once per `capacity / 8` inserts rather than on every one.
     pub fn insert(&self, key: LayerKey, value: V) {
         let mut inner = self.inner.lock().expect("layer cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
-            }
+            // Ticks are unique, so exactly the `batch` oldest entries
+            // fall at or below the cutoff.
+            let batch = (self.capacity / 8).max(1);
+            let mut ticks: Vec<u64> = inner.map.values().map(|e| e.last_used).collect();
+            let cutoff = *ticks.select_nth_unstable(batch - 1).1;
+            inner.map.retain(|_, e| e.last_used > cutoff);
+            inner.evictions += batch as u64;
         }
         inner.map.insert(
             key,
@@ -825,6 +767,27 @@ mod tests {
         assert!(cache.contains(&key(3)));
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
+    }
+
+    #[test]
+    fn full_layer_cache_evicts_its_least_recently_used_eighth() {
+        let arch = ArchConfig::isca_45nm();
+        let key = |fp: u64| LayerKey::of(fp, &arch, 1, 0);
+        let cache: LayerArtifactCache<u64> = LayerArtifactCache::new(16);
+        for fp in 0..16 {
+            cache.insert(key(fp), fp);
+        }
+        // Touch the two oldest, so entries 2 and 3 become the oldest pair.
+        assert_eq!(cache.lookup(&key(0)), Some(0));
+        assert_eq!(cache.lookup(&key(1)), Some(1));
+        cache.insert(key(16), 16);
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.evictions), (15, 2));
+        assert!(!cache.contains(&key(2)) && !cache.contains(&key(3)));
+        assert!((0..2).chain(4..17).all(|fp| cache.contains(&key(fp))));
+        // Below capacity again: the next insert evicts nothing.
+        cache.insert(key(17), 17);
+        assert_eq!((cache.stats().len, cache.stats().evictions), (16, 2));
     }
 
     #[test]

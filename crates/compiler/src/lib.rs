@@ -21,9 +21,7 @@
 //! frequency). Below it sits the layer tier
 //! ([`cache::LayerArtifactCache`]): per-layer evaluation results keyed on
 //! a structural [`cache::layer_fingerprint`], so repeated layer shapes are
-//! evaluated once per (arch, quant, batch) however often they recur. Both
-//! tiers can be backed by a persistent [`store::DiskArtifactStore`] so a
-//! restarted process warms from disk instead of recompiling.
+//! evaluated once per (arch, quant, batch) however often they recur.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,14 +33,12 @@ pub mod fuse;
 pub mod gemm;
 pub mod lower;
 pub mod plan;
-pub mod store;
 pub mod tiling;
 
 pub use cache::{
     layer_fingerprint, ArtifactCache, ArtifactKey, CacheStats, CachedPlan, LayerArtifactCache,
     LayerKey,
 };
-pub use store::{DiskArtifactStore, StoreError, StoreStats};
 pub use error::CompileError;
 pub use fuse::{fuse_layers, FusedGroup, PostOp};
 pub use gemm::{layer_to_gemm, GemmLayer, GemmShape};

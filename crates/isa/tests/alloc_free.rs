@@ -9,27 +9,39 @@
 //! allocations and zero deallocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bitfusion_core::bitwidth::PairPrecision;
 use bitfusion_isa::program::SegmentProgram;
 use bitfusion_isa::walker::{summarize, BlockSummary};
 use bitfusion_isa::{BlockBuilder, ComputeFn, InstructionBlock, Scratchpad};
 
-/// Wraps the system allocator, counting every alloc/dealloc.
+/// Wraps the system allocator, counting every alloc/dealloc made by the
+/// calling thread. The counters are per thread because the test harness
+/// runs tests in parallel: process-global counters would also see the
+/// sibling test's allocations.
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initializers: no lazy allocation and no destructor, so the
+    // allocator itself can touch them.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&ALLOCS);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&DEALLOCS);
         System.dealloc(ptr, layout)
     }
 }
@@ -37,11 +49,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// The calling thread's (allocs, deallocs) so far.
 fn heap_events() -> (u64, u64) {
-    (
-        ALLOCS.load(Ordering::Relaxed),
-        DEALLOCS.load(Ordering::Relaxed),
-    )
+    (ALLOCS.with(Cell::get), DEALLOCS.with(Cell::get))
 }
 
 /// A deeply tiled block: two enumerated DMA loop levels over a DMA-free

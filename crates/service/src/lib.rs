@@ -49,7 +49,7 @@ pub mod serve;
 pub mod session;
 
 pub use bitfusion_core::json::Json;
-pub use protocol::{BackendChoice, DiskStoreInfo, DseParams, Request, Response, StatsReply};
+pub use protocol::{BackendChoice, DseParams, Request, Response, StatsReply};
 pub use render::render;
 pub use net::{NetConfig, NetListener, NetSummary};
 pub use serve::{serve, ServeSummary};

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use bitfusion_sim::pool::{Admission, Gate};
 
-use crate::protocol::{CacheTierInfo, DiskStoreInfo, LatencyInfo, Request, Response, StatsReply};
+use crate::protocol::{CacheTierInfo, LatencyInfo, Request, Response, StatsReply};
 use crate::serve::clamp_nested_workers;
 use crate::session::Session;
 use coalesce::{Coalescer, Joined};
@@ -279,16 +279,6 @@ impl ServerState<'_> {
                 p99_us: self.histogram.quantile_us(0.99),
                 max_us: self.histogram.max_us(),
             },
-            disk: self.session.store_stats().map(|s| DiskStoreInfo {
-                plan_hits: s.plan_hits,
-                plan_misses: s.plan_misses,
-                layer_hits: s.layer_hits,
-                layer_misses: s.layer_misses,
-                point_hits: s.point_hits,
-                point_misses: s.point_misses,
-                writes: s.writes,
-                corrupt: s.corrupt,
-            }),
         }
     }
 

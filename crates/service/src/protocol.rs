@@ -333,11 +333,6 @@ pub struct DseParams {
     pub workers: u64,
     /// Backend override (session default when absent).
     pub backend: Option<BackendChoice>,
-    /// Checkpoint completed points to the session's persistent cache
-    /// directory and restore any already checkpointed there — the
-    /// `dse --resume` flag. Requires the session to have a `--cache-dir`;
-    /// never changes response bytes, only wall-clock.
-    pub resume: bool,
 }
 
 impl Default for DseParams {
@@ -355,7 +350,6 @@ impl Default for DseParams {
             models: Vec::new(),
             workers: 0,
             backend: None,
-            resume: false,
         }
     }
 }
@@ -551,9 +545,6 @@ impl Request {
                 if let Some(b) = p.backend {
                     pairs.push(("backend", Json::Str(b.as_str().to_string())));
                 }
-                if p.resume {
-                    pairs.push(("resume", Json::Bool(true)));
-                }
             }
             Request::Quantize { model, quant } => {
                 model.push_wire_field(&mut pairs);
@@ -591,7 +582,7 @@ impl Request {
             "sweep" => &["benchmark", "model", "axis", "backend", "quant"],
             "dse" => &[
                 "rows", "cols", "ibuf_kb", "wbuf_kb", "obuf_kb", "bandwidth", "batches",
-                "quants", "networks", "models", "workers", "backend", "resume",
+                "quants", "networks", "models", "workers", "backend",
             ],
             "quantize" => &["benchmark", "model", "quant"],
             "stats" => &[],
@@ -703,10 +694,6 @@ impl Request {
                     },
                     workers: opt_u64_field(doc, "workers")?.unwrap_or(0),
                     backend: opt_backend(doc)?,
-                    resume: match doc.get("resume") {
-                        None => false,
-                        Some(v) => v.as_bool().ok_or("resume must be a boolean")?,
-                    },
                 }))
             }
             "quantize" => Ok(Request::Quantize {
@@ -1404,61 +1391,6 @@ impl LatencyInfo {
     }
 }
 
-/// The persistent disk tier's live counters inside a [`Response::Stats`],
-/// present only when the server was started with `--cache-dir`.
-///
-/// Disk hits are a subset of the memory tiers' misses: a lookup that
-/// misses in memory but loads from disk counts as a memory miss *and* a
-/// disk hit, so the memory-tier counters keep their meaning unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DiskStoreInfo {
-    /// Compiled-plan entries served from disk.
-    pub plan_hits: u64,
-    /// Compiled-plan lookups that found no usable entry on disk.
-    pub plan_misses: u64,
-    /// Layer-result entries served from disk.
-    pub layer_hits: u64,
-    /// Layer-result lookups that found no usable entry on disk.
-    pub layer_misses: u64,
-    /// DSE checkpoint points served from disk.
-    pub point_hits: u64,
-    /// DSE checkpoint lookups that found no usable entry on disk.
-    pub point_misses: u64,
-    /// Entries written (write-behind) since startup.
-    pub writes: u64,
-    /// Entries quarantined as corrupt (checksum, format, or decode
-    /// failure) and recomputed.
-    pub corrupt: u64,
-}
-
-impl DiskStoreInfo {
-    fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("plan_hits", Json::uint(self.plan_hits)),
-            ("plan_misses", Json::uint(self.plan_misses)),
-            ("layer_hits", Json::uint(self.layer_hits)),
-            ("layer_misses", Json::uint(self.layer_misses)),
-            ("point_hits", Json::uint(self.point_hits)),
-            ("point_misses", Json::uint(self.point_misses)),
-            ("writes", Json::uint(self.writes)),
-            ("corrupt", Json::uint(self.corrupt)),
-        ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, String> {
-        Ok(DiskStoreInfo {
-            plan_hits: u64_field(doc, "plan_hits")?,
-            plan_misses: u64_field(doc, "plan_misses")?,
-            layer_hits: u64_field(doc, "layer_hits")?,
-            layer_misses: u64_field(doc, "layer_misses")?,
-            point_hits: u64_field(doc, "point_hits")?,
-            point_misses: u64_field(doc, "point_misses")?,
-            writes: u64_field(doc, "writes")?,
-            corrupt: u64_field(doc, "corrupt")?,
-        })
-    }
-}
-
 /// The full result of a `stats` request: the network server's live
 /// counters.
 ///
@@ -1500,9 +1432,6 @@ pub struct StatsReply {
     pub layer_cache: CacheTierInfo,
     /// Request-latency percentiles.
     pub latency: LatencyInfo,
-    /// The persistent disk tier's counters; `None` when the server runs
-    /// without `--cache-dir`.
-    pub disk: Option<DiskStoreInfo>,
 }
 
 /// The result of one [`Request`].
@@ -1728,9 +1657,6 @@ impl Response {
                 pairs.push(("artifact_cache", r.artifact_cache.to_json()));
                 pairs.push(("layer_cache", r.layer_cache.to_json()));
                 pairs.push(("latency_us", r.latency.to_json()));
-                if let Some(disk) = r.disk {
-                    pairs.push(("disk_store", disk.to_json()));
-                }
             }
             Response::Shutdown => {}
             Response::Error { message } => {
@@ -1944,10 +1870,6 @@ impl Response {
                     latency: LatencyInfo::from_json(
                         doc.get("latency_us").ok_or("missing field `latency_us`")?,
                     )?,
-                    disk: doc
-                        .get("disk_store")
-                        .map(DiskStoreInfo::from_json)
-                        .transpose()?,
                 }))
             }
             "shutdown" => Ok(Response::Shutdown),
@@ -2274,36 +2196,13 @@ mod tests {
                 p99_us: 8192,
                 max_us: 7311,
             },
-            disk: None,
         });
         let wire = resp.encode();
         assert_eq!(Response::parse(&wire).unwrap(), resp);
         assert!(wire.starts_with(r#"{"reply":"stats","connections":"#), "{wire}");
-        // Without --cache-dir the reply carries no disk tier at all.
-        assert!(!wire.contains("disk_store"), "{wire}");
         // No timestamps on the wire: a quiesced server answers
         // reproducibly.
         assert!(!wire.contains("time"), "{wire}");
-    }
-
-    #[test]
-    fn stats_response_round_trips_the_disk_tier() {
-        let resp = Response::Stats(StatsReply {
-            disk: Some(DiskStoreInfo {
-                plan_hits: 8,
-                plan_misses: 1,
-                layer_hits: 61,
-                layer_misses: 3,
-                point_hits: 48,
-                point_misses: 2,
-                writes: 6,
-                corrupt: 1,
-            }),
-            ..StatsReply::default()
-        });
-        let wire = resp.encode();
-        assert_eq!(Response::parse(&wire).unwrap(), resp);
-        assert!(wire.contains(r#""disk_store":{"plan_hits":8"#), "{wire}");
     }
 
     #[test]

@@ -20,10 +20,8 @@
 //! server's output byte-identical to the corresponding one-shot
 //! invocations.
 
-use std::sync::Arc;
-
 use bitfusion_baselines::{EyerissSim, GpuMode, GpuModel, StripesSim};
-use bitfusion_compiler::{ArtifactCache, CacheStats, DiskArtifactStore, StoreStats};
+use bitfusion_compiler::{ArtifactCache, CacheStats};
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_core::grid::ArchGrid;
 use bitfusion_dnn::model::Model;
@@ -33,7 +31,7 @@ use bitfusion_dnn::zoo::Benchmark;
 use bitfusion_energy::{ChipArea, EnergyBreakdown, FusionEnergy};
 use bitfusion_isa::asm::format_block;
 use bitfusion_sim::{
-    bandwidth_sweep_tiered, batch_sweep_tiered, explore_checkpointed,
+    bandwidth_sweep_tiered, batch_sweep_tiered, explore_with_caches,
     layer_cache::run_plan_cached, plan_layer_sharing, AnalyticBackend, DseResult, DseSpec,
     EventBackend, LayerPerfCache, PerfReport, SimOptions, Sweep,
 };
@@ -80,7 +78,6 @@ pub struct Session {
     backend: BackendChoice,
     cache: ArtifactCache,
     layer_cache: LayerPerfCache,
-    store: Option<Arc<DiskArtifactStore>>,
 }
 
 impl Default for Session {
@@ -98,7 +95,6 @@ impl Session {
             backend: BackendChoice::Analytic,
             cache: ArtifactCache::default(),
             layer_cache: LayerPerfCache::default(),
-            store: None,
         }
     }
 
@@ -127,25 +123,6 @@ impl Session {
         self
     }
 
-    /// Attaches a persistent disk tier at `dir` beneath both in-memory
-    /// caches (the `--cache-dir` path): plans and layer evaluations are
-    /// read through / written behind, so a restarted session warms from
-    /// disk, and `dse` requests with `resume` checkpoint completed points
-    /// there. Call this *after* the capacity builders — they replace the
-    /// cache objects the store is attached to.
-    ///
-    /// # Errors
-    ///
-    /// A held lock (another process using the directory — the message
-    /// names the lock file) or an IO failure, as a displayable string.
-    pub fn with_cache_dir(mut self, dir: impl AsRef<std::path::Path>) -> Result<Self, String> {
-        let store = Arc::new(DiskArtifactStore::open(dir).map_err(|e| e.to_string())?);
-        self.cache.attach_store(store.clone());
-        self.layer_cache.attach_store(store.clone());
-        self.store = Some(store);
-        Ok(self)
-    }
-
     /// The session's calibration knobs.
     pub fn options(&self) -> SimOptions {
         self.options
@@ -164,12 +141,6 @@ impl Session {
     /// Counters of the shared layer-tier cache.
     pub fn layer_cache_stats(&self) -> CacheStats {
         self.layer_cache.stats()
-    }
-
-    /// Counters of the attached disk tier, or `None` when the session has
-    /// no `--cache-dir`.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|s| s.stats())
     }
 
     /// Serves one request. Never panics on bad input: failures come back
@@ -568,32 +539,20 @@ impl Session {
             return Err("empty design space (a dimension has no candidates)".to_string());
         }
         let workers = usize::try_from(params.workers).unwrap_or(0);
-        // Checkpointing is opt-in per request: `resume` both writes point
-        // checkpoints and restores any already on disk, so the same flag
-        // starts a resumable sweep and resumes an interrupted one.
-        let checkpoint = if params.resume {
-            Some(self.store.as_deref().ok_or(
-                "dse resume requires a persistent cache directory (start with --cache-dir)",
-            )?)
-        } else {
-            None
-        };
         let result = match backend {
-            BackendChoice::Analytic => explore_checkpointed(
+            BackendChoice::Analytic => explore_with_caches(
                 &spec,
                 &AnalyticBackend,
                 workers,
                 &self.cache,
                 &self.layer_cache,
-                checkpoint,
             ),
-            BackendChoice::Event => explore_checkpointed(
+            BackendChoice::Event => explore_with_caches(
                 &spec,
                 &EventBackend,
                 workers,
                 &self.cache,
                 &self.layer_cache,
-                checkpoint,
             ),
         };
         Ok(Response::Dse(dse_reply(
@@ -1187,111 +1146,5 @@ mod tests {
             panic!("expected reports");
         };
         assert!(a.cycles > b.cycles, "lower efficiency must cost cycles");
-    }
-
-    /// A scratch cache directory removed on drop.
-    struct TempDir(std::path::PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let path = std::env::temp_dir().join(format!(
-                "bitfusion-session-test-{}-{tag}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&path);
-            TempDir(path)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    #[test]
-    fn disk_tier_makes_restarts_byte_identical() {
-        let dir = TempDir::new("restart");
-        let requests = [
-            Request::Report {
-                model: ModelSource::zoo("rnn"),
-                batch: 4,
-                bandwidth: Some(256),
-                arch: ArchPreset::Isca45nm,
-                backend: Some(BackendChoice::Event),
-                quant: None,
-            },
-            Request::Sweep {
-                model: ModelSource::zoo("lstm"),
-                axis: SweepAxis::Bandwidth,
-                backend: None,
-                quant: None,
-            },
-        ];
-        // Cold process: everything computes, write-behind populates disk.
-        let cold: Vec<String> = {
-            let session = Session::new().with_cache_dir(&dir.0).unwrap();
-            let replies = requests.iter().map(|r| session.handle(r).encode()).collect();
-            let disk = session.store_stats().unwrap();
-            assert_eq!(disk.plan_hits, 0, "first process finds an empty store");
-            assert!(disk.writes > 0, "write-behind must persist: {disk:?}");
-            replies
-        };
-        // Restarted process (fresh memory tiers, same directory): every
-        // plan and layer loads from disk, and the bytes cannot tell.
-        let session = Session::new().with_cache_dir(&dir.0).unwrap();
-        let warm: Vec<String> = requests.iter().map(|r| session.handle(r).encode()).collect();
-        assert_eq!(cold, warm, "serving tier must never change bytes");
-        let disk = session.store_stats().unwrap();
-        assert!(disk.plan_hits > 0, "{disk:?}");
-        assert!(disk.layer_hits > 0, "{disk:?}");
-        assert_eq!(disk.corrupt, 0, "{disk:?}");
-        // Without --cache-dir there is no disk tier to report.
-        assert!(Session::new().store_stats().is_none());
-    }
-
-    #[test]
-    fn second_session_on_a_cache_dir_is_refused() {
-        let dir = TempDir::new("locked");
-        let holder = Session::new().with_cache_dir(&dir.0).unwrap();
-        let err = Session::new().with_cache_dir(&dir.0).unwrap_err();
-        assert!(err.contains("already in use"), "{err}");
-        assert!(err.contains("LOCK"), "diagnostic names the lock path: {err}");
-        drop(holder);
-        // Releasing the holder frees the directory for the next process.
-        Session::new().with_cache_dir(&dir.0).unwrap();
-    }
-
-    #[test]
-    fn dse_resume_needs_a_store_and_reproduces_bytes() {
-        let params = DseParams {
-            rows: vec![8],
-            cols: vec![8],
-            bandwidth: vec![64, 128],
-            batches: vec![4],
-            networks: Some(vec!["rnn".into()]),
-            workers: 1,
-            resume: true,
-            ..DseParams::default()
-        };
-        // Resume without a persistent store is a client error, not a panic.
-        match Session::new().handle(&Request::Dse(params.clone())) {
-            Response::Error { message } => {
-                assert!(message.contains("--cache-dir"), "{message}");
-            }
-            other => panic!("expected error, got {other:?}"),
-        }
-        let dir = TempDir::new("resume");
-        let first = {
-            let session = Session::new().with_cache_dir(&dir.0).unwrap();
-            session.handle(&Request::Dse(params.clone())).encode()
-        };
-        // A restarted run restores every point from the checkpoint and
-        // emits the exact frontier bytes of the uninterrupted run.
-        let session = Session::new().with_cache_dir(&dir.0).unwrap();
-        let second = session.handle(&Request::Dse(params)).encode();
-        assert_eq!(first, second);
-        let disk = session.store_stats().unwrap();
-        assert_eq!(disk.point_hits, 2, "both design points restore: {disk:?}");
     }
 }

@@ -369,50 +369,6 @@ fn keep_alive_pipelining_matches_one_shot_bytes() {
 }
 
 #[test]
-fn warm_cache_dir_restart_serves_identical_bytes_from_disk() {
-    let dir = std::env::temp_dir().join(format!(
-        "bitfusion-net-disk-test-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let script = [
-        r#"{"cmd":"report","benchmark":"rnn","batch":4,"backend":"event"}"#,
-        r#"{"cmd":"sweep","benchmark":"lstm","axis":"bandwidth"}"#,
-    ];
-    let run_server = |expect_disk_hits: bool| -> Vec<String> {
-        let session = Session::new().with_cache_dir(&dir).expect("open store");
-        let (listener, addr) = bind_tcp();
-        let config = NetConfig {
-            workers: 2,
-            ..NetConfig::default()
-        };
-        let (session, config) = (&session, &config);
-        thread::scope(|scope| {
-            let server = scope.spawn(move || net::run(session, &listener, config));
-            let replies = pipeline(addr, &script);
-            let disk = stats(addr).disk.expect("--cache-dir servers report disk");
-            if expect_disk_hits {
-                assert!(disk.plan_hits > 0, "{disk:?}");
-                assert!(disk.layer_hits > 0, "{disk:?}");
-            } else {
-                assert_eq!(disk.plan_hits, 0, "{disk:?}");
-                assert!(disk.writes > 0, "{disk:?}");
-            }
-            assert_eq!(disk.corrupt, 0, "{disk:?}");
-            config.stop.store(true, Ordering::SeqCst);
-            server.join().unwrap().expect("server runs");
-            replies
-        })
-    };
-    let cold = run_server(false);
-    // The restarted server's memory tiers are empty; the disk tier warms
-    // them, and the response bytes cannot tell which tier answered.
-    let warm = run_server(true);
-    assert_eq!(cold, warm);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn tcp_shutdown_is_refused() {
     let session = Session::new();
     let (listener, addr) = bind_tcp();

@@ -14,7 +14,7 @@ use bitfusion_dnn::schema::{export_model, parse_model};
 use bitfusion_service::json::parse as parse_json;
 use bitfusion_service::protocol::{
     quant_spec_from_json, quant_spec_to_json, ArchInfo, ArchPreset, AsmBlock, AsmReply,
-    BackendChoice, BaselineComparison, BenchmarkInfo, CacheTierInfo, CompareReply, DiskStoreInfo,
+    BackendChoice, BaselineComparison, BenchmarkInfo, CacheTierInfo, CompareReply,
     DseParams, DseReply, EnergyInfo, FrontierPoint, InfeasibleInfo, LatencyInfo, LayerInfo,
     ModelSource,
     QuantLayerInfo, QuantSpeedupInfo, QuantizeReply, ReportReply, Request, Response, StallInfo,
@@ -275,7 +275,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         prop::collection::vec(arb_model(), 0..3),
         0u64..16,
         arb_opt_backend(),
-        any::<bool>(),
     )
         .prop_map(
             |(
@@ -285,7 +284,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
                 models,
                 workers,
                 backend,
-                resume,
             )| {
                 Request::Dse(DseParams {
                     rows,
@@ -300,7 +298,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
                     models,
                     workers,
                     backend,
-                    resume,
                 })
             },
         );
@@ -327,28 +324,6 @@ fn arb_cache_tier() -> impl Strategy<Value = CacheTierInfo> {
             capacity,
         },
     )
-}
-
-fn arb_disk_store() -> impl Strategy<Value = DiskStoreInfo> {
-    (
-        (arb_u64(), arb_u64(), arb_u64(), arb_u64()),
-        (arb_u64(), arb_u64(), arb_u64(), arb_u64()),
-    )
-        .prop_map(
-            |(
-                (plan_hits, plan_misses, layer_hits, layer_misses),
-                (point_hits, point_misses, writes, corrupt),
-            )| DiskStoreInfo {
-                plan_hits,
-                plan_misses,
-                layer_hits,
-                layer_misses,
-                point_hits,
-                point_misses,
-                writes,
-                corrupt,
-            },
-        )
 }
 
 fn arb_arch_info() -> impl Strategy<Value = ArchInfo> {
@@ -681,7 +656,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         (arb_u64(), arb_u64(), arb_u64(), arb_u64()),
         (arb_cache_tier(), arb_cache_tier()),
         (arb_u64(), arb_u64(), arb_u64(), arb_u64(), arb_u64()),
-        prop::option::of(arb_disk_store()),
     )
         .prop_map(
             |(
@@ -690,7 +664,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 (queue_depth, queue_capacity, in_flight, workers),
                 (artifact_cache, layer_cache),
                 (count, p50_us, p90_us, p99_us, max_us),
-                disk,
             )| {
                 Response::Stats(StatsReply {
                     connections_active,
@@ -713,7 +686,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         p99_us,
                         max_us,
                     },
-                    disk,
                 })
             },
         );

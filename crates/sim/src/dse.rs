@@ -48,14 +48,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use bitfusion_compiler::store::content_hash;
 use bitfusion_compiler::{
-    layer_fingerprint, ArtifactCache, ArtifactKey, CachedPlan, CompileError, DiskArtifactStore,
-    LayerKey,
+    layer_fingerprint, ArtifactCache, ArtifactKey, CachedPlan, CompileError, LayerKey,
 };
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_core::grid::ArchGrid;
-use bitfusion_core::json::Json;
 use bitfusion_dnn::model::Model;
 use bitfusion_dnn::quantspec::QuantSpec;
 use bitfusion_dnn::zoo::Benchmark;
@@ -63,10 +60,7 @@ use bitfusion_energy::{ChipArea, FusionEnergy};
 
 use crate::backend::SimBackend;
 use crate::engine::SimOptions;
-use crate::layer_cache::{
-    eval_context, evaluate_layer_cached, layer_perf_from_payload, layer_perf_payload,
-    LayerPerfCache,
-};
+use crate::layer_cache::{eval_context, evaluate_layer_cached, LayerPerfCache};
 use crate::pool::map_indexed;
 use crate::stats::{LayerPerf, PerfReport, StallBreakdown};
 
@@ -537,38 +531,6 @@ pub fn explore_with_caches<B: SimBackend + Sync>(
     cache: &ArtifactCache,
     layer_cache: &LayerPerfCache,
 ) -> DseResult {
-    explore_checkpointed(spec, backend, workers, cache, layer_cache, None)
-}
-
-/// [`explore_with_caches`] plus resumable per-point checkpointing: with a
-/// `checkpoint` store, every evaluated point's per-layer results are
-/// persisted under `(spec fingerprint, point index)`, and a later run of
-/// the *same spec* restores checkpointed points without re-evaluating a
-/// single layer — the `dse --resume` path, for sweeps bigger than one
-/// process lifetime.
-///
-/// Resume changes wall-clock only, never bytes: the checkpoint stores the
-/// one expensive product of a point (its [`LayerPerf`] vector, exact to
-/// the bit — `f64`s persisted as bit patterns), everything else
-/// (architecture, names, area, spec-level sharing counters) is re-derived
-/// deterministically from the spec, and a checkpoint that fails its
-/// checksum or value fingerprint is quarantined and recomputed. The spec
-/// fingerprint covers the grid, workloads, quantizations, batches,
-/// backend, and calibration options, so a checkpoint can never leak
-/// across differing sweeps. Phase 1 (compilation) still runs on resume —
-/// through both cache tiers, so it is disk-served when the same store
-/// backs them — keeping every spec-level counter, and therefore every
-/// protocol reply byte, identical to an uninterrupted run. Infeasible
-/// points are recomputed, not checkpointed (they are cheap, and a
-/// persisted failure could outlive its cause).
-pub fn explore_checkpointed<B: SimBackend + Sync>(
-    spec: &DseSpec,
-    backend: &B,
-    workers: usize,
-    cache: &ArtifactCache,
-    layer_cache: &LayerPerfCache,
-    checkpoint: Option<&DiskArtifactStore>,
-) -> DseResult {
     let workers = if workers == 0 {
         crate::pool::default_workers()
     } else {
@@ -702,21 +664,6 @@ pub fn explore_checkpointed<B: SimBackend + Sync>(
         .collect();
     let context = eval_context(backend.name(), &opts);
 
-    // Checkpoint namespace: a fingerprint over everything a point's value
-    // (and its index) depends on — grid and batch enumeration, the
-    // workload variants (model fingerprints cover structure, names, and
-    // applied precisions; quant names cover the reply's labels), and the
-    // evaluation context (backend identity + calibration knobs + node).
-    // Two sweeps differing in any of these can never exchange
-    // checkpoints.
-    let spec_fp = content_hash(
-        format!(
-            "{:?}|{:?}|{:?}|{:?}|{context:016x}",
-            spec.grid, spec.batches, quant_names, fingerprints
-        )
-        .as_bytes(),
-    );
-
     // Spec-level layer-tier counters, from the key sets alone: how many
     // layer evaluations the points request and how many unique keys they
     // resolve to. Warmth-independent by construction (the cache is never
@@ -783,59 +730,24 @@ pub fn explore_checkpointed<B: SimBackend + Sync>(
             })),
             Ok(plan) => {
                 let fps = layer_fps[idx].as_ref().expect("Ok plan has fingerprints");
-                // A checkpointed point restores its layer results wholesale
-                // (each verified against its value fingerprint); a failed
-                // or absent checkpoint falls through to evaluation, and
-                // the freshly computed layers are checkpointed behind.
-                let restored: Option<Vec<LayerPerf>> = checkpoint.and_then(|store| {
-                    store.load_point_with(spec_fp, i as u64, |payload| {
-                        let layers = payload.get("layers")?.as_arr()?;
-                        if layers.len() != fps.len() {
-                            return None;
-                        }
-                        layers
-                            .iter()
-                            .map(layer_perf_from_payload)
-                            .collect::<Option<Vec<_>>>()
+                let layers: Vec<LayerPerf> = plan
+                    .layers
+                    .iter()
+                    .zip(fps)
+                    .map(|(l, &fp)| {
+                        evaluate_layer_cached(
+                            backend,
+                            l,
+                            fp,
+                            p.batch,
+                            arch,
+                            &energy,
+                            &opts,
+                            context,
+                            layer_cache,
+                        )
                     })
-                });
-                let layers = match restored {
-                    Some(layers) => layers,
-                    None => {
-                        let layers: Vec<LayerPerf> = plan
-                            .layers
-                            .iter()
-                            .zip(fps)
-                            .map(|(l, &fp)| {
-                                evaluate_layer_cached(
-                                    backend,
-                                    l,
-                                    fp,
-                                    p.batch,
-                                    arch,
-                                    &energy,
-                                    &opts,
-                                    context,
-                                    layer_cache,
-                                )
-                            })
-                            .collect();
-                        if let Some(store) = checkpoint {
-                            if let Some(encoded) = layers
-                                .iter()
-                                .map(layer_perf_payload)
-                                .collect::<Option<Vec<_>>>()
-                            {
-                                store.store_point(
-                                    spec_fp,
-                                    i as u64,
-                                    Json::obj(vec![("layers", Json::Arr(encoded))]),
-                                );
-                            }
-                        }
-                        layers
-                    }
-                };
+                    .collect();
                 let report = PerfReport {
                     model_name: model.name.clone(),
                     batch: p.batch,
@@ -1292,170 +1204,6 @@ mod tests {
         // and less energy: uniform16 is dominated off the frontier.
         assert_eq!(frontier.len(), 1, "{frontier:?}");
         assert_eq!(frontier[0].quant, "paper");
-    }
-
-    #[test]
-    fn resume_restores_every_point_with_identical_frontier_bytes() {
-        let dir = std::env::temp_dir().join(format!("bf-dse-resume-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec();
-        let uninterrupted = explore(&spec, &AnalyticBackend, 2);
-        {
-            // First (to-be-"interrupted") run: checkpoints every point.
-            let store = DiskArtifactStore::open(&dir).unwrap();
-            let first = explore_checkpointed(
-                &spec,
-                &AnalyticBackend,
-                2,
-                &ArtifactCache::default(),
-                &LayerPerfCache::default(),
-                Some(&store),
-            );
-            assert_eq!(first.points.len(), uninterrupted.points.len());
-            let stats = store.stats();
-            assert_eq!(stats.point_hits, 0, "cold run restores nothing");
-            assert_eq!(
-                stats.point_misses,
-                uninterrupted.points.len() as u64,
-                "{stats:?}"
-            );
-        }
-        // The "restarted process": fresh caches, same directory.
-        let store = DiskArtifactStore::open(&dir).unwrap();
-        let layer_cache = LayerPerfCache::default();
-        let resumed = explore_checkpointed(
-            &spec,
-            &AnalyticBackend,
-            3,
-            &ArtifactCache::default(),
-            &layer_cache,
-            Some(&store),
-        );
-        let stats = store.stats();
-        assert_eq!(
-            stats.point_hits,
-            uninterrupted.points.len() as u64,
-            "every point restored from its checkpoint: {stats:?}"
-        );
-        assert_eq!(
-            layer_cache.stats().misses,
-            0,
-            "a restored point evaluates zero layers"
-        );
-        // Byte-identity with the uninterrupted run: points, spec-level
-        // counters, and the frontier derived from them.
-        assert_eq!(resumed.points.len(), uninterrupted.points.len());
-        for (a, b) in uninterrupted.points.iter().zip(&resumed.points) {
-            assert_eq!(a.arch, b.arch);
-            assert_eq!(a.report, b.report, "{}/{}", a.model_name, a.batch);
-            assert_eq!(a.area_mm2.to_bits(), b.area_mm2.to_bits());
-        }
-        assert_eq!(resumed.compile_unique, uninterrupted.compile_unique);
-        assert_eq!(resumed.layer_evals, uninterrupted.layer_evals);
-        assert_eq!(resumed.layer_unique, uninterrupted.layer_unique);
-        let fa = uninterrupted.pareto_frontier();
-        let fb = resumed.pareto_frontier();
-        assert_eq!(fa.len(), fb.len());
-        for (a, b) in fa.iter().zip(&fb) {
-            assert_eq!(a.arch, b.arch);
-            assert_eq!(a.total_cycles, b.total_cycles);
-            assert_eq!(a.total_energy_pj.to_bits(), b.total_energy_pj.to_bits());
-            assert_eq!(a.area_mm2.to_bits(), b.area_mm2.to_bits());
-        }
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn partial_and_corrupt_checkpoints_recompute_the_gaps() {
-        let dir = std::env::temp_dir().join(format!("bf-dse-partial-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec();
-        let expected = explore(&spec, &AnalyticBackend, 1);
-        {
-            let store = DiskArtifactStore::open(&dir).unwrap();
-            explore_checkpointed(
-                &spec,
-                &AnalyticBackend,
-                2,
-                &ArtifactCache::default(),
-                &LayerPerfCache::default(),
-                Some(&store),
-            );
-        }
-        // Simulate an interrupted sweep: drop some checkpoints, truncate
-        // one (disk damage mid-write would be caught the same way).
-        let dse_dir = dir.join("dse");
-        let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dse_dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
-        assert_eq!(files.len(), expected.points.len());
-        for f in files.iter().step_by(3) {
-            std::fs::remove_file(f).unwrap();
-        }
-        let survivor = files.iter().find(|f| f.exists()).unwrap();
-        let text = std::fs::read_to_string(survivor).unwrap();
-        std::fs::write(survivor, &text[..text.len() / 3]).unwrap();
-        let store = DiskArtifactStore::open(&dir).unwrap();
-        let resumed = explore_checkpointed(
-            &spec,
-            &AnalyticBackend,
-            2,
-            &ArtifactCache::default(),
-            &LayerPerfCache::default(),
-            Some(&store),
-        );
-        let stats = store.stats();
-        assert!(stats.point_hits > 0, "{stats:?}");
-        assert!(stats.point_misses > 0, "{stats:?}");
-        assert_eq!(stats.corrupt, 1, "{stats:?}");
-        for (a, b) in expected.points.iter().zip(&resumed.points) {
-            assert_eq!(a.report, b.report, "{}/{}", a.model_name, a.batch);
-        }
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn differing_specs_never_share_checkpoints() {
-        let dir = std::env::temp_dir().join(format!("bf-dse-split-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let base = DseSpec {
-            grid: ArchGrid::from_base(ArchConfig::isca_45nm()),
-            models: vec![Benchmark::Rnn.model()],
-            quant_specs: vec![QuantSpec::paper()],
-            batches: vec![4],
-            options: SimOptions::default(),
-        };
-        let store = DiskArtifactStore::open(&dir).unwrap();
-        explore_checkpointed(
-            &base,
-            &AnalyticBackend,
-            1,
-            &ArtifactCache::default(),
-            &LayerPerfCache::default(),
-            Some(&store),
-        );
-        // Same shape and point count, different backend / options / grid:
-        // none may restore the analytic run's checkpoint.
-        let other_backend = explore_checkpointed(
-            &base,
-            &EventBackend,
-            1,
-            &ArtifactCache::default(),
-            &LayerPerfCache::default(),
-            Some(&store),
-        );
-        assert_eq!(other_backend.points.len(), 1);
-        let stats = store.stats();
-        assert_eq!(
-            stats.point_hits, 0,
-            "a different backend must miss: {stats:?}"
-        );
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,24 +19,15 @@
 //! one key-exempt field is the layer's *name*: identical twins at
 //! different depths share an entry, so the name is re-stamped from the
 //! requesting layer on every hit.
-//!
-//! When a [`bitfusion_compiler::DiskArtifactStore`] is attached to the
-//! cache, this module is also the tier's codec: [`LayerPerf`] values are
-//! persisted with `f64` energies as exact bit patterns and a fingerprint
-//! of the value's debug form that is re-verified on load, so lookup order
-//! becomes memory → disk → compute and a disk-served result is
-//! bit-identical to a fresh evaluation (same contract, third tier).
 
-use bitfusion_compiler::store::{content_hash, hash_hex, json_u64};
 use bitfusion_compiler::{layer_fingerprint, LayerArtifactCache, LayerKey, PlannedLayer};
 use bitfusion_core::arch::ArchConfig;
-use bitfusion_core::json::Json;
 use bitfusion_dnn::model::Model;
-use bitfusion_energy::{EnergyBreakdown, FusionEnergy};
+use bitfusion_energy::FusionEnergy;
 
 use crate::backend::SimBackend;
 use crate::engine::SimOptions;
-use crate::stats::{BufferOccupancy, LayerPerf, PerfReport, StallBreakdown};
+use crate::stats::{LayerPerf, PerfReport};
 
 /// The layer tier instantiated with simulation results.
 pub type LayerPerfCache = LayerArtifactCache<LayerPerf>;
@@ -69,106 +60,6 @@ pub fn eval_context(backend_name: &str, opts: &SimOptions) -> u64 {
     h
 }
 
-/// Fingerprint of a [`LayerPerf`]'s full debug form — stored inside every
-/// persisted layer entry and re-verified after decode, the same exactness
-/// safety net the plan tier uses.
-pub fn layer_perf_fingerprint(perf: &LayerPerf) -> u64 {
-    content_hash(format!("{perf:?}").as_bytes())
-}
-
-/// Serializes a [`LayerPerf`] for the disk tier: `u64` counters as checked
-/// JSON integers (an overflowing value aborts persistence rather than
-/// saturating), `f64` energies as exact bit patterns, plus the value
-/// fingerprint. Returns `None` when the value cannot round-trip exactly.
-pub fn layer_perf_payload(perf: &LayerPerf) -> Option<Json> {
-    let f64_bits = |v: f64| Json::Int(v.to_bits() as i64);
-    let body = Json::obj(vec![
-        ("name", Json::Str(perf.name.clone())),
-        ("cycles", json_u64(perf.cycles)?),
-        ("compute_cycles", json_u64(perf.compute_cycles)?),
-        ("dma_cycles", json_u64(perf.dma_cycles)?),
-        ("dram_bits", json_u64(perf.dram_bits)?),
-        ("macs", json_u64(perf.macs)?),
-        (
-            "energy",
-            Json::Arr(vec![
-                f64_bits(perf.energy.compute_pj),
-                f64_bits(perf.energy.buffer_pj),
-                f64_bits(perf.energy.rf_pj),
-                f64_bits(perf.energy.dram_pj),
-            ]),
-        ),
-        (
-            "stalls",
-            Json::Arr(vec![
-                json_u64(perf.stalls.bandwidth_starved)?,
-                json_u64(perf.stalls.compute_starved)?,
-                json_u64(perf.stalls.fill_drain)?,
-            ]),
-        ),
-        (
-            "occupancy",
-            Json::Arr(
-                perf.occupancy
-                    .highwater_bits
-                    .iter()
-                    .map(|&b| json_u64(b))
-                    .collect::<Option<Vec<_>>>()?,
-            ),
-        ),
-    ]);
-    Some(Json::obj(vec![
-        ("fp", Json::Str(hash_hex(layer_perf_fingerprint(perf)))),
-        ("perf", body),
-    ]))
-}
-
-/// Decodes a persisted layer entry, verifying the stored value
-/// fingerprint against the decoded result. `None` (any malformed field or
-/// a fingerprint mismatch) quarantines the entry at the store layer.
-pub fn layer_perf_from_payload(payload: &Json) -> Option<LayerPerf> {
-    let doc = payload.get("perf")?;
-    // Bit patterns with the sign bit set decode as negative `Json::Int`s,
-    // so read the raw integer rather than going through `as_u64`.
-    let f64_bits = |j: &Json| match j {
-        Json::Int(i) => Some(f64::from_bits(*i as u64)),
-        _ => None,
-    };
-    let energy = doc.get("energy")?.as_arr()?;
-    let stalls = doc.get("stalls")?.as_arr()?;
-    let occupancy = doc.get("occupancy")?.as_arr()?;
-    if energy.len() != 4 || stalls.len() != 3 || occupancy.len() != 3 {
-        return None;
-    }
-    let perf = LayerPerf {
-        name: doc.get("name")?.as_str()?.to_string(),
-        cycles: doc.get("cycles")?.as_u64()?,
-        compute_cycles: doc.get("compute_cycles")?.as_u64()?,
-        dma_cycles: doc.get("dma_cycles")?.as_u64()?,
-        dram_bits: doc.get("dram_bits")?.as_u64()?,
-        macs: doc.get("macs")?.as_u64()?,
-        energy: EnergyBreakdown {
-            compute_pj: f64_bits(&energy[0])?,
-            buffer_pj: f64_bits(&energy[1])?,
-            rf_pj: f64_bits(&energy[2])?,
-            dram_pj: f64_bits(&energy[3])?,
-        },
-        stalls: StallBreakdown {
-            bandwidth_starved: stalls[0].as_u64()?,
-            compute_starved: stalls[1].as_u64()?,
-            fill_drain: stalls[2].as_u64()?,
-        },
-        occupancy: BufferOccupancy {
-            highwater_bits: [
-                occupancy[0].as_u64()?,
-                occupancy[1].as_u64()?,
-                occupancy[2].as_u64()?,
-            ],
-        },
-    };
-    (payload.get("fp")?.as_str()? == hash_hex(layer_perf_fingerprint(&perf))).then_some(perf)
-}
-
 /// Evaluates one planned layer through the layer cache: a hit returns the
 /// memoized [`LayerPerf`] (name re-stamped from `layer`), a miss runs the
 /// backend and publishes the result.
@@ -196,21 +87,7 @@ pub fn evaluate_layer_cached<B: SimBackend + ?Sized>(
         perf.name.clone_from(&layer.name);
         return perf;
     }
-    if let Some(store) = cache.disk() {
-        // Memory miss, disk tier attached: a verified disk entry is
-        // promoted into memory and re-stamped like any other hit.
-        if let Some(mut perf) = store.load_layer_with(&key, layer_perf_from_payload) {
-            cache.insert(key, perf.clone());
-            perf.name.clone_from(&layer.name);
-            return perf;
-        }
-    }
     let perf = backend.evaluate_layer(layer, arch, energy, opts);
-    if let Some(store) = cache.disk() {
-        if let Some(payload) = layer_perf_payload(&perf) {
-            store.store_layer(&key, payload);
-        }
-    }
     cache.insert(key, perf.clone());
     perf
 }
@@ -380,84 +257,6 @@ mod tests {
             slow.total_cycles() > fast.total_cycles(),
             "a shared entry across bandwidths would flatten Figure 15"
         );
-    }
-
-    #[test]
-    fn layer_perf_payload_round_trips_exact_bits() {
-        let perf = LayerPerf {
-            name: "conv2_1/\"quoted\"".to_string(),
-            cycles: 123_456_789,
-            compute_cycles: 100_000_000,
-            dma_cycles: 23_456_789,
-            dram_bits: u64::from(u32::MAX) * 64,
-            macs: 1 << 40,
-            energy: EnergyBreakdown {
-                compute_pj: 0.1 + 0.2, // not exactly representable in decimal
-                buffer_pj: -0.0,
-                rf_pj: f64::MIN_POSITIVE,
-                dram_pj: 1.0e300,
-            },
-            stalls: StallBreakdown {
-                bandwidth_starved: 7,
-                compute_starved: 0,
-                fill_drain: 42,
-            },
-            occupancy: BufferOccupancy {
-                highwater_bits: [1, 2, 3],
-            },
-        };
-        let payload = layer_perf_payload(&perf).unwrap();
-        // Through the deterministic text encoding, as on disk.
-        let reparsed = bitfusion_core::json::parse(&payload.encode()).unwrap();
-        let back = layer_perf_from_payload(&reparsed).unwrap();
-        assert_eq!(format!("{back:?}"), format!("{perf:?}"));
-        assert_eq!(back.energy.buffer_pj.to_bits(), (-0.0f64).to_bits());
-        // A counter that cannot round-trip through i64 aborts persistence.
-        let mut overflowing = perf.clone();
-        overflowing.cycles = u64::MAX;
-        assert!(layer_perf_payload(&overflowing).is_none());
-    }
-
-    #[test]
-    fn disk_tier_serves_layers_byte_identically_across_restart() {
-        let dir = std::env::temp_dir().join(format!(
-            "bf-layer-store-test-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let arch = ArchConfig::isca_45nm();
-        let model = Benchmark::ResNet18.model();
-        let opts = SimOptions::default();
-        let plain = LayerPerfCache::default();
-        let expected =
-            run_cached(&EventBackend, &model, &arch, 16, &opts, &plain).unwrap();
-        {
-            let store =
-                std::sync::Arc::new(bitfusion_compiler::DiskArtifactStore::open(&dir).unwrap());
-            let cache = LayerPerfCache::default();
-            cache.attach_store(store.clone());
-            let cold = run_cached(&EventBackend, &model, &arch, 16, &opts, &cache).unwrap();
-            assert_eq!(cold, expected, "attaching a store must not change results");
-            let stats = store.stats();
-            assert!(stats.writes > 0, "{stats:?}");
-            assert_eq!(stats.layer_hits, 0, "first run is all disk misses");
-        }
-        // A "restarted process": fresh memory cache, same directory.
-        let store =
-            std::sync::Arc::new(bitfusion_compiler::DiskArtifactStore::open(&dir).unwrap());
-        let cache = LayerPerfCache::default();
-        cache.attach_store(store.clone());
-        let warm = run_cached(&EventBackend, &model, &arch, 16, &opts, &cache).unwrap();
-        assert_eq!(warm, expected, "disk-served results must be bit-identical");
-        let stats = store.stats();
-        assert_eq!(
-            stats.layer_hits,
-            cache.stats().misses,
-            "every memory miss was answered from disk: {stats:?}"
-        );
-        assert_eq!(stats.corrupt, 0);
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

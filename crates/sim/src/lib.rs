@@ -60,8 +60,7 @@ pub use layer_cache::{
 };
 pub use stats::{BufferOccupancy, LayerPerf, PerfReport, StallBreakdown};
 pub use dse::{
-    explore, explore_checkpointed, explore_with_cache, explore_with_caches, ArchSummary, DsePoint,
-    DseResult, DseSpec,
+    explore, explore_with_cache, explore_with_caches, ArchSummary, DsePoint, DseResult, DseSpec,
     InfeasiblePoint, PointError, QuantSpeedup, QuantSummary,
 };
 pub use sweep::{

@@ -51,18 +51,16 @@ USAGE:
   bitfusion-cli asm      <benchmark | --model FILE> [--layer NAME] [--batch N]
                          [--arch 45nm|16nm|stripes] [--json]
   bitfusion-cli sweep    <benchmark | --model FILE> (--batch | --bandwidth)
-                         [--backend analytic|event] [--quant SPEC] [--cache-dir DIR]
-                         [--json] [calibration]
+                         [--backend analytic|event] [--quant SPEC] [--json] [calibration]
   bitfusion-cli quantize <benchmark | --model FILE> [--quant SPEC] [--json]
   bitfusion-cli dse      [--rows LIST] [--cols LIST] [--ibuf-kb LIST] [--wbuf-kb LIST]
                          [--obuf-kb LIST] [--bandwidth LIST] [--batch LIST]
                          [--quant SPEC,SPEC] [--networks all|name,name] [--model FILE]...
-                         [--workers N] [--backend analytic|event] [--cache-dir DIR]
-                         [--resume] [--json] [calibration]
+                         [--workers N] [--backend analytic|event] [--json] [calibration]
   bitfusion-cli export-model <benchmark|attention-block|depthwise-net>
   bitfusion-cli serve    [--listen ADDR | --unix PATH] [--workers N] [--cache-capacity N]
-                         [--max-queue N] [--idle-timeout SECS] [--cache-dir DIR]
-                         [--backend analytic|event] [calibration]
+                         [--max-queue N] [--idle-timeout SECS] [--backend analytic|event]
+                         [calibration]
   bitfusion-cli client   (--connect ADDR | --unix PATH) [--keep-alive]
                          [REQUEST-JSON | SUBCOMMAND ARGS...]
 
@@ -91,16 +89,6 @@ calibration (threaded through the session's SimOptions):
 writes for the equivalent request. `serve` reads one JSON request per stdin
 line ({\"cmd\":\"report\",\"benchmark\":\"lstm\",...}) and writes one
 response per stdout line, in request order, dispatching concurrently.
-
-persistent cache: `--cache-dir DIR` (on serve, dse, sweep) backs the
-in-memory caches with a disk tier: compiled plans, layer results, and dse
-checkpoints persist across restarts, so a warm directory answers without
-recompiling — responses stay byte-identical regardless of which tier
-serves them. The directory is single-writer (a lock file guards it; a
-second process gets a diagnostic naming the lock). Corrupt entries are
-quarantined and recomputed, never an error. `dse --resume` additionally
-checkpoints each completed design point and, after an interruption, skips
-the finished points while reproducing the exact frontier bytes.
 
 network serve: `serve --listen 127.0.0.1:7040` or `serve --unix PATH` runs
 a concurrent server instead of the stdin loop — thread per connection, one
@@ -232,9 +220,6 @@ struct Invocation {
     /// `--backend`: a per-request override for one-shot commands, the
     /// session default for `serve`.
     backend: Option<BackendChoice>,
-    /// `--cache-dir`: back the session's caches with a persistent disk
-    /// tier (serve, dse, sweep).
-    cache_dir: Option<String>,
 }
 
 // One Mode lives per process; the Request-sized variant is not worth a Box.
@@ -393,7 +378,6 @@ fn parse_client(rest: &[String]) -> Result<Invocation, UsageError> {
         json: false,
         options: SimOptions::default(),
         backend: None,
-        cache_dir: None,
     })
 }
 
@@ -428,7 +412,6 @@ fn parse_invocation(argv: &[String]) -> Result<Invocation, UsageError> {
     let mut max_queue: usize = 64;
     let mut idle_timeout: u64 = 300;
     let mut net_only_flag: Option<&str> = None;
-    let mut cache_dir: Option<String> = None;
 
     while let Some(arg) = flags.next() {
         if !arg.starts_with("--") {
@@ -526,10 +509,6 @@ fn parse_invocation(argv: &[String]) -> Result<Invocation, UsageError> {
                 idle_timeout = flags.parse("--idle-timeout")?;
                 net_only_flag.get_or_insert("--idle-timeout");
             }
-            ("serve", "--cache-dir") | ("dse", "--cache-dir") | ("sweep", "--cache-dir") => {
-                cache_dir = Some(flags.value("--cache-dir")?.to_string());
-            }
-            ("dse", "--resume") => dse.resume = true,
             _ => return Err(flags.unknown(arg)),
         }
     }
@@ -617,12 +596,6 @@ fn parse_invocation(argv: &[String]) -> Result<Invocation, UsageError> {
         "export-model" => Mode::ExportModel(benchmark(&positional)?),
         "dse" => {
             no_positional(&positional)?;
-            if dse.resume && cache_dir.is_none() {
-                return Err(UsageError::new(
-                    subcommand,
-                    "--resume needs --cache-dir DIR (the checkpoints live there)",
-                ));
-            }
             dse.backend = backend;
             Mode::OneShot(Request::Dse(dse))
         }
@@ -661,7 +634,6 @@ fn parse_invocation(argv: &[String]) -> Result<Invocation, UsageError> {
         json,
         options,
         backend,
-        cache_dir,
     })
 }
 
@@ -690,17 +662,6 @@ fn print_cache_summary(session: &Session, responses: u64, errors: u64) {
         layers.capacity,
         rate(layers.hit_rate())
     );
-    if let Some(disk) = session.store_stats() {
-        eprintln!(
-            "serve: disk store: {} plan hits, {} plan misses, {} layer hits, {} layer misses, {} writes, {} corrupt",
-            disk.plan_hits,
-            disk.plan_misses,
-            disk.layer_hits,
-            disk.layer_misses,
-            disk.writes,
-            disk.corrupt
-        );
-    }
 }
 
 /// The stop flag SIGINT flips, shared with the running server. A
@@ -977,15 +938,6 @@ fn run() -> Result<ExitCode, UsageError> {
             if let Some(capacity) = cache_capacity {
                 session = session.with_cache_capacity(capacity);
             }
-            if let Some(dir) = &inv.cache_dir {
-                session = match session.with_cache_dir(dir) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("serve: {e}");
-                        return Ok(ExitCode::FAILURE);
-                    }
-                };
-            }
             if listen.is_some() || unix.is_some() {
                 return Ok(run_net_serve(
                     &session,
@@ -1032,16 +984,7 @@ fn run() -> Result<ExitCode, UsageError> {
             }
         },
         Mode::OneShot(request) => {
-            let mut session = Session::new().with_options(inv.options);
-            if let Some(dir) = &inv.cache_dir {
-                session = match session.with_cache_dir(dir) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("bitfusion-cli: {e}");
-                        return Ok(ExitCode::FAILURE);
-                    }
-                };
-            }
+            let session = Session::new().with_options(inv.options);
             let response = session.handle(&request);
             let failed = matches!(response, Response::Error { .. });
             if inv.json {
@@ -1356,33 +1299,6 @@ mod tests {
         assert!(e.message.contains("--idle-timeout"), "{}", e.message);
         let e = parse_invocation(&argv(&["serve", "--max-queue", "4"])).unwrap_err();
         assert!(e.message.contains("--max-queue"), "{}", e.message);
-    }
-
-    #[test]
-    fn cache_dir_and_resume_flags_parse() {
-        // serve/dse/sweep take --cache-dir; it lands on the invocation.
-        let inv = parse_invocation(&argv(&["serve", "--cache-dir", "/tmp/bf-cache"])).unwrap();
-        assert_eq!(inv.cache_dir.as_deref(), Some("/tmp/bf-cache"));
-        let inv = parse_invocation(&argv(&["sweep", "rnn", "--batch", "--cache-dir", "/tmp/c"]))
-            .unwrap();
-        assert_eq!(inv.cache_dir.as_deref(), Some("/tmp/c"));
-
-        // dse --resume rides on --cache-dir and sets the request flag.
-        let inv = parse_invocation(&argv(&["dse", "--cache-dir", "/tmp/c", "--resume"])).unwrap();
-        assert_eq!(inv.cache_dir.as_deref(), Some("/tmp/c"));
-        let Mode::OneShot(Request::Dse(p)) = inv.mode else {
-            panic!("expected dse");
-        };
-        assert!(p.resume);
-
-        // --resume without a directory to checkpoint into is a usage error.
-        let e = parse_invocation(&argv(&["dse", "--resume"])).unwrap_err();
-        assert!(e.message.contains("--cache-dir"), "{}", e.message);
-
-        // Other subcommands do not take --cache-dir.
-        let e = parse_invocation(&argv(&["report", "lstm", "--cache-dir", "/tmp/c"]))
-            .unwrap_err();
-        assert!(e.message.contains("--cache-dir"), "{}", e.message);
     }
 
     #[test]

@@ -25,7 +25,6 @@ fn zoo_quant_params(workers: u64) -> DseParams {
         models: Vec::new(),
         workers,
         backend: None,
-        resume: false,
     }
 }
 
