@@ -14,7 +14,8 @@
 //!   the two paths are byte-identical by construction;
 //! * [`parse`] — a recursive-descent parser accepting standard JSON
 //!   (insignificant whitespace, string escapes including `\uXXXX` and
-//!   surrogate pairs, integer and float numbers).
+//!   surrogate pairs, integer and float numbers), nested at most
+//!   [`MAX_DEPTH`] arrays/objects deep, so no input can exhaust the stack.
 //!
 //! Numbers keep their integer-ness: a literal without `.`/`e` parses to
 //! [`Json::Int`], everything else to [`Json::Float`]. Floats encode via
@@ -202,15 +203,23 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. Model documents
+/// nest four deep, and a `dse` request carrying them six; the bound keeps
+/// the recursive descent (and the drop of what it built) far from the end
+/// of any thread's stack, whatever the input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, rejecting trailing garbage.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] naming the first offending byte.
+/// Returns a [`JsonError`] naming the first offending byte, including the
+/// first bracket nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -224,6 +233,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -268,12 +279,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -522,6 +543,24 @@ mod tests {
         assert!(parse("12 34").unwrap_err().message.contains("trailing"));
         assert!(parse("").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(parse(&at_limit).unwrap().encode(), at_limit);
+        let e = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let e = parse(&format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        ))
+        .unwrap_err();
+        assert_eq!(e.offset, 5 * MAX_DEPTH);
     }
 
     #[test]

@@ -64,6 +64,12 @@ const ACCEPT_INTERVAL: Duration = Duration::from_millis(20);
 /// tests and the DESIGN.md error-shape contract).
 pub const SHED_MESSAGE: &str = "server overloaded: admission queue full";
 
+/// The longest request line a connection accepts, its newline included.
+/// The largest zoo model document (ResNet-18) is about 4 KB; a longer
+/// line is answered with an error and the connection closed, so no client
+/// can make the server buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -287,14 +293,13 @@ impl ServerState<'_> {
     /// answered but not counted, so polling `stats` never perturbs the
     /// numbers it reports). Everything that is not a server-level request
     /// flows coalescer → gate → session.
-    fn answer(&self, line: &str) -> String {
-        let mut request = match Request::parse(line.trim()) {
+    fn answer(&self, line: &[u8]) -> String {
+        let parsed = std::str::from_utf8(line)
+            .map_err(|_| "request line is not UTF-8".to_string())
+            .and_then(|line| Request::parse(line.trim()));
+        let mut request = match parsed {
             Ok(r) => r,
-            Err(message) => {
-                self.received.fetch_add(1, Ordering::Relaxed);
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                return Response::Error { message }.encode();
-            }
+            Err(message) => return self.refuse(message),
         };
         match request {
             // Answered by the server, bypassing admission: must stay live
@@ -355,6 +360,14 @@ impl ServerState<'_> {
         response
     }
 
+    /// Counts a workload request that never reached evaluation and
+    /// answers it with `message`.
+    fn refuse(&self, message: String) -> String {
+        self.received.fetch_add(1, Ordering::Relaxed);
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        Response::Error { message }.encode()
+    }
+
     fn record_latency(&self, started: Instant) {
         let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.histogram.record_us(us);
@@ -375,22 +388,26 @@ impl ServerState<'_> {
         stream.set_read_timeout(POLL_INTERVAL)?;
         let mut writer = stream.try_clone()?;
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
         let mut last_activity = Instant::now();
         loop {
             if self.config.stop.load(Ordering::SeqCst) {
                 return Ok(()); // draining: finish current request, close
             }
             let before = line.len();
-            match reader.read_line(&mut line) {
+            // One byte past the cap is enough to tell a line is too long.
+            let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+            match (&mut reader).take(budget).read_until(b'\n', &mut line) {
                 Ok(0) => return Ok(()), // EOF: client closed cleanly
                 Ok(_) => {
                     last_activity = Instant::now();
-                    if !line.trim().is_empty() {
-                        let response = self.answer(&line);
-                        writer.write_all(response.as_bytes())?;
-                        writer.write_all(b"\n")?;
-                        writer.flush()?;
+                    if line.len() > MAX_LINE_BYTES {
+                        // The rest of the line is never read: answer, close.
+                        let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                        return write_line(&mut writer, &self.refuse(message));
+                    }
+                    if !line.trim_ascii().is_empty() {
+                        write_line(&mut writer, &self.answer(&line))?;
                     }
                     line.clear();
                 }
@@ -418,6 +435,12 @@ impl ServerState<'_> {
             }
         }
     }
+}
+
+fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// Runs the server until the stop flag is set (SIGINT in the CLI, or an

@@ -318,6 +318,66 @@ fn shutdown_request_drains_a_unix_server() {
     let _ = std::fs::remove_dir(&dir);
 }
 
+#[cfg(unix)]
+#[test]
+fn hostile_lines_answer_errors_and_the_server_serves_on() {
+    use std::os::unix::net::UnixStream;
+    let dir = std::env::temp_dir().join(format!("bitfusion-net-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve.sock");
+    let _ = std::fs::remove_file(&path);
+    let session = Session::new();
+    let listener = NetListener::bind_unix(path.to_str().unwrap()).expect("bind unix socket");
+    let config = NetConfig::default();
+    let (session, config) = (&session, &config);
+    thread::scope(|scope| {
+        let server = scope.spawn(move || net::run(session, &listener, config));
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut send = |line: &[u8]| {
+            stream.write_all(line).unwrap();
+            stream.flush().unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply
+        };
+        // Deep nesting within the line cap: answered, connection kept.
+        let mut deep = vec![b'['; 200_000];
+        deep.push(b'\n');
+        assert_eq!(
+            send(&deep),
+            "{\"reply\":\"error\",\"message\":\"invalid JSON: nesting deeper than 128 at byte 128\"}\n"
+        );
+        assert!(send(b"{\"cmd\":\"list\"}\n").starts_with(r#"{"reply":"list""#));
+        // A line past the cap: answered, then the connection closes.
+        let reply = send(&vec![b' '; net::MAX_LINE_BYTES + 1]);
+        assert_eq!(
+            reply,
+            format!(
+                "{{\"reply\":\"error\",\"message\":\"request line exceeds {} bytes\"}}\n",
+                net::MAX_LINE_BYTES
+            )
+        );
+        let mut rest = String::new();
+        assert_eq!(
+            reader.read_line(&mut rest).unwrap(),
+            0,
+            "closed after the reply"
+        );
+        // The next connection is served.
+        let mut next = UnixStream::connect(&path).expect("connect again");
+        next.write_all(b"{\"cmd\":\"list\"}\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(next).read_line(&mut reply).unwrap();
+        assert!(reply.starts_with(r#"{"reply":"list""#), "{reply}");
+        config.stop.store(true, Ordering::SeqCst);
+        let summary = server.join().unwrap().expect("server runs");
+        assert_eq!((summary.responses, summary.errors), (4, 2));
+    });
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir(&dir);
+}
+
 /// One keep-alive connection pipelining `script` in lockstep — exactly
 /// what `bitfusion-cli client --keep-alive` does.
 fn pipeline(addr: SocketAddr, script: &[&str]) -> Vec<String> {

@@ -32,6 +32,7 @@ use bitfusion::dnn::{export_model, parse_model, Model, QuantSpec};
 use bitfusion::energy::TechNode;
 use bitfusion::service::protocol::{
     quant_spec_from_json, ArchPreset, BackendChoice, DseParams, ModelSource, SweepAxis,
+    DEFAULT_BATCH,
 };
 use bitfusion::service::net::{self, NetConfig, NetListener};
 use bitfusion::service::session::find_model;
@@ -563,7 +564,7 @@ fn parse_invocation(argv: &[String]) -> Result<Invocation, UsageError> {
         }
         "report" => Mode::OneShot(Request::Report {
             model: source(&positional, model)?,
-            batch: batch.unwrap_or(16),
+            batch: batch.unwrap_or(DEFAULT_BATCH),
             bandwidth,
             arch,
             backend,
@@ -571,13 +572,13 @@ fn parse_invocation(argv: &[String]) -> Result<Invocation, UsageError> {
         }),
         "compare" => Mode::OneShot(Request::Compare {
             model: source(&positional, model)?,
-            batch: batch.unwrap_or(16),
+            batch: batch.unwrap_or(DEFAULT_BATCH),
             backend,
             quant,
         }),
         "asm" => Mode::OneShot(Request::Asm {
             model: source(&positional, model)?,
-            batch: batch.unwrap_or(16),
+            batch: batch.unwrap_or(DEFAULT_BATCH),
             arch,
             layer,
         }),

@@ -205,6 +205,37 @@ fn serve_summary_says_na_for_untouched_caches() {
 }
 
 #[test]
+fn serve_answers_deeply_nested_json_with_an_error_and_lives_on() {
+    // 200 000 open brackets once overflowed the parser's stack and
+    // aborted the process; now the depth bound answers in-slot.
+    let mut script = "[".repeat(200_000);
+    script.push_str("\n{\"cmd\":\"list\"}\n");
+    let mut child = Command::new(BIN)
+        .args(["serve"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(script.as_bytes())
+        .expect("script written");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(
+        lines[0],
+        r#"{"reply":"error","message":"invalid JSON: nesting deeper than 128 at byte 128"}"#
+    );
+    assert!(lines[1].starts_with(r#"{"reply":"list""#), "{stdout}");
+    assert_eq!(lines.len(), 2);
+}
+
+#[test]
 fn quantize_subcommand_and_quant_flags_work() {
     // quantize --json parses through the protocol.
     let out = run(&["quantize", "alexnet", "--quant", "uniform8", "--json"]);
