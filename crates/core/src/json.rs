@@ -133,7 +133,11 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Int(i) => out.push_str(&i.to_string()),
             Json::Float(f) => {
-                if f.is_finite() {
+                if *f == 0.0 {
+                    // Negative zero too: `-0` would re-parse as the
+                    // integer 0 and re-encode as `0`.
+                    out.push('0')
+                } else if f.is_finite() {
                     // Rust's Display prints the shortest digits that
                     // round-trip, in positional notation — valid JSON.
                     out.push_str(&f.to_string())
@@ -501,6 +505,7 @@ mod tests {
         let once = Json::Float(2.0).encode();
         assert_eq!(once, "2");
         assert_eq!(parse(&once).unwrap().encode(), once);
+        assert_eq!(parse("-0.0").unwrap().encode(), "0");
     }
 
     #[test]

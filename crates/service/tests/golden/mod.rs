@@ -1,5 +1,5 @@
 //! The pinned wire corpus shared by `wire_golden.rs` (which checks every
-//! byte) and `wire_fuzz.rs` (which mutates the request lines).
+//! byte) and `wire_fuzz.rs` (which mutates the lines).
 //!
 //! One value per `Request` and `Response` variant, plus a second value
 //! wherever a field is optional, so each optional field appears both

@@ -1,12 +1,13 @@
 //! Deterministic byte-mutation fuzzing of the parsers untrusted bytes
 //! reach: `Json::parse`, `parse_model` and `Request::parse`.
 //!
-//! The seeds are the golden request lines and the shipped model
-//! documents (`examples/models/*.json`). Each mutant flips, inserts,
-//! deletes or duplicates bytes, or splices in a run of `[`/`{` (long runs
-//! probe the nesting bound). Nothing may panic, and every input a parser
-//! accepts must re-encode to a fixed point: `encode ∘ parse ∘ encode`
-//! equals `encode`.
+//! The seeds are the golden request lines, the golden reply lines (their
+//! floats exercise `Json::parse`) and the shipped model documents
+//! (`examples/models/*.json`). Each mutant flips, inserts, deletes or
+//! duplicates bytes, or splices in a run of `[`/`{` (long runs probe the
+//! nesting bound). Nothing may panic, and every input a parser accepts
+//! must re-encode to a fixed point: `encode ∘ parse ∘ encode` equals
+//! `encode`.
 
 mod golden;
 
@@ -18,15 +19,17 @@ use bitfusion_service::protocol::Request;
 use proptest::TestRng;
 
 /// Mutants per seed.
-const MUTANTS: usize = 600;
+const MUTANTS: usize = 300;
 
 /// Bytes that steer a JSON parser somewhere interesting.
 const INSERTS: &[u8] = b"\"\\{}[]:,-+.0123456789eEnulltruefalse \t\n\x01\xff";
 
 fn seeds() -> Vec<Vec<u8>> {
-    let mut seeds: Vec<Vec<u8>> = golden::requests()
-        .into_iter()
-        .map(|(_, line)| line.as_bytes().to_vec())
+    let requests = golden::requests().into_iter().map(|(_, line)| line);
+    let responses = golden::responses().into_iter().map(|(_, line)| line);
+    let mut seeds: Vec<Vec<u8>> = requests
+        .chain(responses)
+        .map(|line| line.as_bytes().to_vec())
         .collect();
     let models = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/models");
     let mut paths: Vec<_> = std::fs::read_dir(&models)
