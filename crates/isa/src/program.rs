@@ -29,6 +29,12 @@
 //! counting-allocator test). The accumulator and the visited segments are
 //! plain `Copy` structs ([`crate::walker::ComputeCounts`] replaced the old
 //! per-segment `BTreeMap`).
+//!
+//! [`SegmentProgram::replay_runs`] streams the same segments without
+//! expanding the repetition: a fused tile loop reaches the [`ReplaySink`]
+//! once with its trip count, and each counted loop reports its iteration
+//! boundaries, so a consumer whose per-iteration update has reached a
+//! steady state can jump over the iterations left.
 
 use crate::block::{BodyItem, InstructionBlock};
 use crate::walker::{fold_instr, fold_items, subtree_has_dma, Segment};
@@ -72,8 +78,8 @@ enum Op {
     },
     /// Fused `Repeat { [Delta, Emit] }`: emit `deltas[i]` itself `count`
     /// times (merging any carried-in prefix into the first emission). This
-    /// is the innermost tile loop — the hot path — reduced to a visit per
-    /// iteration with no accumulator traffic at all.
+    /// is the innermost tile loop — the hot path — reduced to one
+    /// [`ReplaySink::run`] with no accumulator traffic at all.
     RepeatEmit {
         /// Trip count of the source loop.
         count: u32,
@@ -105,9 +111,58 @@ impl Accum {
     }
 }
 
+/// The consumer of a run-aware replay ([`SegmentProgram::replay_runs`]).
+///
+/// The stream it sees is the one [`SegmentProgram::replay`] visits, with
+/// the repetition left visible: a fused tile loop arrives as one
+/// [`ReplaySink::run`] instead of `count` identical segments, and a counted
+/// loop announces the end of each iteration. A sink whose state update is
+/// periodic can then apply many iterations at once.
+pub trait ReplaySink {
+    /// One segment built in the accumulator: a carried-in prefix merged
+    /// into a tile loop's first iteration, or a complex loop body's
+    /// emission. `load_bits`/`store_bits` are its DMA bit totals.
+    fn segment(&mut self, seg: &Segment, load_bits: u64, store_bits: u64);
+
+    /// `count ≥ 1` back-to-back segments, each exactly the program's
+    /// constant delta [`SegmentProgram::delta`]`(delta)`.
+    fn run(&mut self, delta: u32, count: u32);
+
+    /// Iteration `done` of a counted loop at nesting `depth` (outermost
+    /// `0`, always `<` [`crate::block::MAX_LOOP_DEPTH`]) has finished and
+    /// `remaining ≥ 1` iterations are left. Every iteration after the
+    /// first replays the same segments, and nothing is carried across the
+    /// boundary. Return `true` if the sink applied all `remaining`
+    /// iterations itself; the replay then skips them. The default steps.
+    fn iteration_end(&mut self, depth: usize, done: u32, remaining: u32) -> bool {
+        let _ = (depth, done, remaining);
+        false
+    }
+}
+
+/// The sink behind [`SegmentProgram::replay`]: expands every run into its
+/// segments.
+struct Expand<'a, F> {
+    program: &'a SegmentProgram,
+    visit: &'a mut F,
+}
+
+impl<F: FnMut(&Segment, u64, u64)> ReplaySink for Expand<'_, F> {
+    fn segment(&mut self, seg: &Segment, load_bits: u64, store_bits: u64) {
+        (self.visit)(seg, load_bits, store_bits);
+    }
+
+    fn run(&mut self, delta: u32, count: u32) {
+        let d = &self.program.deltas[delta as usize];
+        for _ in 0..count {
+            (self.visit)(&d.seg, d.load_bits, d.store_bits);
+        }
+    }
+}
+
 /// A block's segment stream, compiled once into a flat op sequence (see the
 /// module docs). Build with [`SegmentProgram::compile`], stream with
-/// [`SegmentProgram::replay`].
+/// [`SegmentProgram::replay`] or [`SegmentProgram::replay_runs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentProgram {
     ops: Vec<Op>,
@@ -200,30 +255,32 @@ impl SegmentProgram {
     /// directly. Recursion depth is bounded by the block's loop depth
     /// (≤ [`crate::block::MAX_LOOP_DEPTH`]).
     pub fn replay(&self, visit: &mut impl FnMut(&Segment, u64, u64)) {
-        self.replay_keyed(&mut |seg, load, store, _| visit(seg, load, store));
+        self.replay_runs(&mut Expand {
+            program: self,
+            visit,
+        });
     }
 
-    /// Like [`SegmentProgram::replay`], but passes a fourth argument: the
-    /// delta index when the emitted segment *is* exactly the program's
-    /// constant delta [`SegmentProgram::delta`]`(i)` (a steady-state
-    /// iteration of a fused tile loop — the overwhelming majority of the
-    /// stream), `None` for accumulator-built segments (carried-in prefixes
-    /// and complex loop bodies).
+    /// Streams the program run by run (see [`ReplaySink`]): a fused tile
+    /// loop reaches the sink once as a [`ReplaySink::run`] of its constant
+    /// delta with its trip count, every other segment as a
+    /// [`ReplaySink::segment`], and each counted loop reports the end of
+    /// every iteration but its last through [`ReplaySink::iteration_end`],
+    /// where the sink may take over the remaining iterations.
     ///
-    /// Consumers that derive a per-segment cost from the segment's counts
-    /// can compute it once per delta and look it up per emission; the ≥2x
-    /// event-backend speedup in the bench trajectory relies on this.
-    pub fn replay_keyed(&self, visit: &mut impl FnMut(&Segment, u64, u64, Option<u32>)) {
+    /// Allocation-free, like [`SegmentProgram::replay`].
+    pub fn replay_runs(&self, sink: &mut impl ReplaySink) {
         let mut acc = Accum::default();
-        self.replay_range(0, self.ops.len(), &mut acc, visit);
+        self.replay_range(0, self.ops.len(), 0, &mut acc, sink);
     }
 
     fn replay_range(
         &self,
         start: usize,
         end: usize,
+        depth: usize,
         acc: &mut Accum,
-        visit: &mut impl FnMut(&Segment, u64, u64, Option<u32>),
+        sink: &mut impl ReplaySink,
     ) {
         let mut pc = start;
         while pc < end {
@@ -234,31 +291,37 @@ impl SegmentProgram {
                 }
                 Op::Emit => {
                     if !acc.seg.is_empty() {
-                        visit(&acc.seg, acc.load_bits, acc.store_bits, None);
+                        sink.segment(&acc.seg, acc.load_bits, acc.store_bits);
                         acc.clear();
                     }
                     pc += 1;
                 }
                 Op::Repeat { count, end: body_end } => {
-                    for _ in 0..count {
-                        self.replay_range(pc + 1, body_end as usize, acc, visit);
+                    for done in 1..=count {
+                        self.replay_range(pc + 1, body_end as usize, depth + 1, acc, sink);
+                        // Every body ends in `Emit`: nothing is carried
+                        // across the boundary, so the iterations after it
+                        // all replay the same segments.
+                        debug_assert!(acc.seg.is_empty(), "accumulator empty at a boundary");
+                        if done == count || sink.iteration_end(depth, done, count - done) {
+                            break;
+                        }
                     }
                     pc = body_end as usize;
                 }
                 Op::RepeatEmit { count, delta } => {
-                    let d = &self.deltas[delta as usize];
                     let mut remaining = count;
                     if !acc.seg.is_empty() {
                         // Carried-in prefix (outer-tile loads, post-body
                         // stores of a preceding sibling) rides the first
                         // iteration's segment.
-                        acc.merge(d);
-                        visit(&acc.seg, acc.load_bits, acc.store_bits, None);
+                        acc.merge(&self.deltas[delta as usize]);
+                        sink.segment(&acc.seg, acc.load_bits, acc.store_bits);
                         acc.clear();
                         remaining -= 1;
                     }
-                    for _ in 0..remaining {
-                        visit(&d.seg, d.load_bits, d.store_bits, Some(delta));
+                    if remaining > 0 {
+                        sink.run(delta, remaining);
                     }
                     pc += 1;
                 }
@@ -267,13 +330,13 @@ impl SegmentProgram {
     }
 
     /// Number of distinct constant deltas in the program. Delta indices
-    /// passed to a [`SegmentProgram::replay_keyed`] visitor are `<` this.
+    /// passed to [`ReplaySink::run`] are `<` this.
     pub fn delta_count(&self) -> usize {
         self.deltas.len()
     }
 
     /// The `i`-th constant delta as `(segment, load_bits, store_bits)` —
-    /// what a keyed replay emits for index `i`.
+    /// what each emission of a [`ReplaySink::run`] of `i` stands for.
     ///
     /// # Panics
     ///
@@ -365,31 +428,99 @@ mod tests {
         );
     }
 
+    /// Records what a run-aware replay hands its sink, optionally taking
+    /// over every loop at `skip_depth` after its first iteration.
+    #[derive(Default)]
+    struct Recorder {
+        segments: usize,
+        runs: Vec<(u32, u32)>,
+        boundaries: Vec<(usize, u32, u32)>,
+        skip_depth: Option<usize>,
+    }
+
+    impl ReplaySink for Recorder {
+        fn segment(&mut self, _: &Segment, _: u64, _: u64) {
+            self.segments += 1;
+        }
+
+        fn run(&mut self, delta: u32, count: u32) {
+            self.runs.push((delta, count));
+        }
+
+        fn iteration_end(&mut self, depth: usize, done: u32, remaining: u32) -> bool {
+            self.boundaries.push((depth, done, remaining));
+            self.skip_depth == Some(depth)
+        }
+    }
+
     #[test]
-    fn keyed_replay_marks_pure_delta_segments() {
-        // 3 tile iterations: the first carries the pre-loop prefix (none
-        // here, the load is inside the loop)... the tiled block's loop body
-        // is [ld, computes, wr], so every iteration is accumulator-built
-        // only when a carry-in exists. Verify the contract directly: a
-        // keyed segment equals the delta it names, and unkeyed segments
-        // are exactly the ones that differ from every pure emission path.
+    fn run_aware_replay_hands_fused_loops_over_whole() {
+        // The tile loop fuses to one run of its delta; only the trailing
+        // store segment is accumulator-built, and a fused loop reports no
+        // boundaries.
         let block = tiled_block();
         let program = SegmentProgram::compile(&block);
-        let mut keyed = 0usize;
-        let mut unkeyed = 0usize;
-        program.replay_keyed(&mut |seg, load, store, key| match key {
-            Some(i) => {
-                keyed += 1;
-                let (d, dl, ds) = program.delta(i as usize);
-                assert_eq!(seg, d);
-                assert_eq!((load, store), (dl, ds));
-            }
-            None => unkeyed += 1,
-        });
-        // The tile loop fuses; only the final store segment (and no
-        // carry-in exists before the loop) is accumulator-built.
-        assert_eq!(keyed, 3, "steady-state tile iterations are keyed");
-        assert_eq!(unkeyed, 1, "the trailing store segment is not");
+        let mut rec = Recorder::default();
+        program.replay_runs(&mut rec);
+        assert_eq!(rec.runs.len(), 1);
+        let (delta, count) = rec.runs[0];
+        assert_eq!(count, 3, "steady-state tile iterations form one run");
+        assert_eq!(rec.segments, 1, "the trailing store segment");
+        assert!(rec.boundaries.is_empty());
+        let segs = replayed(&program);
+        let (d, dl, ds) = program.delta(delta as usize);
+        assert_eq!((&segs[0].0, segs[0].1, segs[0].2), (d, dl, ds));
+    }
+
+    /// 4 outer tiles × (load an input tile, 3 inner tiles × (load weights,
+    /// compute), store): a counted outer loop around a fused inner one.
+    fn nested_block() -> InstructionBlock {
+        let pair = PairPrecision::from_bits(4, 2).unwrap();
+        let mut b = BlockBuilder::new("nested", pair);
+        b.open_loop(4).unwrap();
+        b.ld_mem(Scratchpad::Ibuf, 4, 100).unwrap();
+        b.open_loop(3).unwrap();
+        b.ld_mem(Scratchpad::Wbuf, 2, 10).unwrap();
+        b.compute(ComputeFn::Mac);
+        b.close_loop();
+        b.st_mem(Scratchpad::Obuf, 8, 3).unwrap();
+        b.close_loop();
+        b.finish(0).unwrap()
+    }
+
+    #[test]
+    fn counted_loops_report_every_boundary_but_the_last() {
+        let program = SegmentProgram::compile(&nested_block());
+        let mut rec = Recorder::default();
+        program.replay_runs(&mut rec);
+        assert_eq!(rec.boundaries, vec![(0, 1, 3), (0, 2, 2), (0, 3, 1)]);
+        // Per outer iteration: the carried-in input load rides the first
+        // inner segment, the other two inner iterations form a run, and
+        // the store closes a segment of its own.
+        assert_eq!(rec.segments, 4 * 2);
+        assert_eq!(rec.runs.len(), 4);
+        let expanded: u32 = rec.runs.iter().map(|&(_, n)| n).sum::<u32>() + rec.segments as u32;
+        assert_eq!(expanded as usize, replayed(&program).len());
+    }
+
+    #[test]
+    fn a_sink_that_takes_over_a_loop_skips_its_remaining_iterations() {
+        let program = SegmentProgram::compile(&nested_block());
+        let mut rec = Recorder {
+            skip_depth: Some(0),
+            ..Recorder::default()
+        };
+        program.replay_runs(&mut rec);
+        assert_eq!(
+            rec.boundaries,
+            vec![(0, 1, 3)],
+            "one boundary, then the sink's"
+        );
+        assert_eq!(
+            (rec.segments, rec.runs.len()),
+            (2, 1),
+            "only the first iteration replays"
+        );
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! allocation-free (the previous walk dropped and reallocated a `BTreeMap`
 //! inside every segment accumulator reset). This test pins the property
 //! with a counting global allocator: once a program is compiled, replaying
-//! it — any number of times, over any number of segments — performs zero
+//! it — any number of times, over any number of segments, segment by
+//! segment or run by run with loop-boundary callbacks — performs zero
 //! allocations and zero deallocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bitfusion_core::bitwidth::PairPrecision;
-use bitfusion_isa::program::SegmentProgram;
-use bitfusion_isa::walker::{summarize, BlockSummary};
+use bitfusion_isa::program::{ReplaySink, SegmentProgram};
+use bitfusion_isa::walker::{summarize, BlockSummary, Segment};
 use bitfusion_isa::{BlockBuilder, ComputeFn, InstructionBlock, Scratchpad};
 
 /// Wraps the system allocator, counting every alloc/dealloc made by the
@@ -114,6 +115,76 @@ fn steady_state_replay_performs_zero_heap_allocations() {
         deallocs_after - deallocs_before,
         0,
         "steady-state replay must not free"
+    );
+}
+
+/// A run-aware sink that touches every callback: it sums what it is
+/// handed and takes over every `take_over`-th loop boundary, so both the
+/// stepping and the skipping paths of the replay run.
+struct Checksum<'a> {
+    program: &'a SegmentProgram,
+    sum: u64,
+    boundaries: u64,
+    take_over: u64,
+}
+
+impl ReplaySink for Checksum<'_> {
+    fn segment(&mut self, seg: &Segment, load_bits: u64, store_bits: u64) {
+        self.sum = self
+            .sum
+            .wrapping_add(seg.dynamic_instructions)
+            .wrapping_add(load_bits)
+            .wrapping_add(store_bits);
+    }
+
+    fn run(&mut self, delta: u32, count: u32) {
+        let (seg, load_bits, _) = self.program.delta(delta as usize);
+        self.sum = self
+            .sum
+            .wrapping_add(seg.dynamic_instructions.wrapping_mul(u64::from(count)))
+            .wrapping_add(load_bits);
+    }
+
+    fn iteration_end(&mut self, depth: usize, done: u32, remaining: u32) -> bool {
+        self.boundaries += 1;
+        self.sum = self
+            .sum
+            .wrapping_add(depth as u64)
+            .wrapping_add(u64::from(done) * u64::from(remaining));
+        self.boundaries.is_multiple_of(self.take_over)
+    }
+}
+
+#[test]
+fn run_aware_replay_performs_zero_heap_allocations() {
+    let block = tiled_block(50, 40);
+    let program = SegmentProgram::compile(&block);
+    let mut sink = Checksum {
+        program: &program,
+        sum: 0,
+        boundaries: 0,
+        take_over: 7,
+    };
+    // Prime outside the measured window, as above.
+    program.replay_runs(&mut sink);
+    assert!(sink.boundaries > 0, "the outer tile loop reports its boundaries");
+
+    let (allocs_before, deallocs_before) = heap_events();
+    for take_over in [1, 3, u64::MAX] {
+        sink.take_over = take_over;
+        program.replay_runs(&mut sink);
+    }
+    let (allocs_after, deallocs_after) = heap_events();
+    assert_ne!(sink.sum, 0, "replays reached the sink");
+    assert_eq!(
+        allocs_after - allocs_before,
+        0,
+        "run-aware replay must not allocate"
+    );
+    assert_eq!(
+        deallocs_after - deallocs_before,
+        0,
+        "run-aware replay must not free"
     );
 }
 

@@ -239,9 +239,13 @@ impl Write for NetStream {
     }
 }
 
+/// Evaluates one admitted request (see [`run_with_handler`]).
+type Handler<'a> = &'a (dyn Fn(&Request) -> Response + Sync);
+
 /// Shared server state every connection thread sees.
 struct ServerState<'a> {
     session: &'a Session,
+    handler: Handler<'a>,
     gate: Gate,
     coalescer: Coalescer,
     histogram: LatencyHistogram,
@@ -334,7 +338,7 @@ impl ServerState<'_> {
                         .encode()
                     }
                     Admission::Admitted(permit) => {
-                        let response = self.session.handle(&request).encode();
+                        let response = (self.handler)(&request).encode();
                         drop(permit);
                         self.record_latency(started);
                         response
@@ -456,6 +460,24 @@ pub fn run(
     listener: &NetListener,
     config: &NetConfig,
 ) -> std::io::Result<NetSummary> {
+    run_with_handler(session, listener, config, &|request| session.handle(request))
+}
+
+/// [`run`] with the evaluation of each admitted request replaced by
+/// `handler`: everything else — admission, coalescing, `stats` over
+/// `session`'s caches — is unchanged. Tests use it to hold a request in
+/// its slot for exactly as long as a scenario needs.
+///
+/// # Errors
+///
+/// As [`run`].
+#[doc(hidden)]
+pub fn run_with_handler(
+    session: &Session,
+    listener: &NetListener,
+    config: &NetConfig,
+    handler: Handler<'_>,
+) -> std::io::Result<NetSummary> {
     listener.set_nonblocking()?;
     let workers = if config.workers == 0 {
         bitfusion_sim::pool::default_workers()
@@ -464,6 +486,7 @@ pub fn run(
     };
     let state = ServerState {
         session,
+        handler,
         gate: Gate::new(workers, config.max_queue),
         coalescer: Coalescer::new(),
         histogram: LatencyHistogram::new(),

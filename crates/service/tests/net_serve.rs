@@ -4,15 +4,19 @@
 //! shedding's pinned error shape, idle-connection reaping, and
 //! shutdown drain.
 //!
-//! Synchronization discipline: tests never sleep-and-hope. They poll the
-//! live `stats` endpoint (which bypasses admission, so it answers even
-//! with the gate saturated) until the server observably reaches the
-//! state the scenario needs — in-flight count, queue depth, received
-//! count — then proceed.
+//! Synchronization discipline: tests never sleep-and-hope. A request that
+//! must occupy a slot is held there by the test's handler until the test
+//! releases it, and the tests poll the live `stats` endpoint (which
+//! bypasses admission, so it answers even with the gate saturated) until
+//! the server observably reaches the state the scenario needs — in-flight
+//! count, queue depth, received count — then proceed. Every server stops
+//! when its scenario panics, so a failed wait fails the test instead of
+//! hanging it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -21,15 +25,52 @@ use bitfusion_service::protocol::{Request, StatsReply};
 use bitfusion_service::serve::clamp_nested_workers;
 use bitfusion_service::{Response, Session};
 
-/// A slow occupant request (~hundreds of ms even in debug builds): a
-/// 54-point event-backend DSE over the two deepest zoo networks.
-const SLOW_DSE: &str = r#"{"cmd":"dse","rows":[8,16,32],"cols":[8,16,32],"bandwidth":[64,128,256],"batches":[4,16],"networks":["resnet-18","vgg-7"],"workers":1,"backend":"event"}"#;
+/// The occupant request: the handler from [`holding`] keeps it in its
+/// evaluation slot until the test releases it.
+const OCCUPANT: &str = r#"{"cmd":"report","benchmark":"lstm","batch":1}"#;
 
-/// A second, byte-distinct slow request for queue-occupancy scenarios.
-const SLOW_DSE_B: &str = r#"{"cmd":"dse","rows":[8,16,32],"cols":[8,16,32],"bandwidth":[64,128,256],"networks":["resnet-18"],"workers":1,"backend":"event"}"#;
+/// A second, byte-distinct request for queue-occupancy scenarios.
+const QUEUED: &str = r#"{"cmd":"sweep","benchmark":"rnn","axis":"bandwidth"}"#;
 
 /// The identical request the coalescing test fans out K times.
 const COALESCE_DSE: &str = r#"{"cmd":"dse","rows":[16,32],"cols":[16,32],"bandwidth":[64,128],"networks":["vgg-7"],"workers":1,"backend":"event"}"#;
+
+/// Sets the server's stop flag when dropped. Each scenario holds one, so
+/// a panic inside `thread::scope` stops the server (the scope then joins
+/// it) instead of leaving the scope waiting on it forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// A request handler that parks [`OCCUPANT`] until `release` receives a
+/// message or its sender is dropped (the test unwinding), then evaluates
+/// it; every other request evaluates at once.
+fn holding<'a>(
+    session: &'a Session,
+    release: &'a Mutex<mpsc::Receiver<()>>,
+) -> impl Fn(&Request) -> Response + Sync + 'a {
+    let held = served(OCCUPANT).encode();
+    move |request| {
+        if request.encode() == held {
+            // Err means the sender is gone: release too.
+            let _ = release.lock().expect("no holder panicked").recv();
+        }
+        session.handle(request)
+    }
+}
+
+/// The request the server evaluates for `line`: parsed, with the
+/// nested-dse clamp every serve flavour applies (results are
+/// worker-count-independent, so the clamp never changes bytes).
+fn served(line: &str) -> Request {
+    let mut request = Request::parse(line).expect("test request parses");
+    clamp_nested_workers(&mut request);
+    request
+}
 
 fn bind_tcp() -> (NetListener, SocketAddr) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
@@ -67,13 +108,9 @@ fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
 }
 
 /// What a fresh one-shot session answers for `line` — the byte-identity
-/// reference (the nested-dse clamp applied, as every serve flavour does;
-/// results are worker-count-independent so the clamp never changes
-/// bytes).
+/// reference.
 fn one_shot(line: &str) -> String {
-    let mut request = Request::parse(line).expect("test request parses");
-    clamp_nested_workers(&mut request);
-    Session::new().handle(&request).encode()
+    Session::new().handle(&served(line)).encode()
 }
 
 #[test]
@@ -94,6 +131,7 @@ fn concurrent_clients_get_one_shot_bytes() {
     ];
     let (session, config, script) = (&session, &config, &script);
     let responses: Vec<Vec<String>> = thread::scope(|scope| {
+        let _stop = StopOnDrop(&config.stop);
         let server = scope.spawn(move || net::run(session, &listener, config));
         // 6 clients, each sending the whole script on one connection but
         // starting from a different offset, so the interleaving across
@@ -154,11 +192,19 @@ fn identical_inflight_requests_evaluate_once() {
         max_queue: 8,
         ..NetConfig::default()
     };
-    let (session, config) = (&session, &config);
+    let (release, held) = mpsc::channel();
+    let held = Mutex::new(held);
+    let handler = holding(&session, &held);
+    let (session, config, handler) = (&session, &config, &handler);
     thread::scope(|scope| {
-        let server = scope.spawn(move || net::run(session, &listener, config));
-        // Occupy the only slot with a slow, byte-distinct request.
-        let occupant = scope.spawn(move || exchange(addr, SLOW_DSE));
+        // Owned by the scenario, so unwinding drops it and frees the
+        // occupant.
+        let release = release;
+        let _stop = StopOnDrop(&config.stop);
+        let server =
+            scope.spawn(move || net::run_with_handler(session, &listener, config, handler));
+        // Occupy the only slot with a held, byte-distinct request.
+        let occupant = scope.spawn(move || exchange(addr, OCCUPANT));
         wait_until("occupant in flight", || stats(addr).in_flight == 1);
         // Fan out K identical requests. The first to arrive leads (and
         // queues behind the occupant); the rest follow its flight.
@@ -171,11 +217,12 @@ fn identical_inflight_requests_evaluate_once() {
             let s = stats(addr);
             s.received == 1 + (FOLLOWERS as u64 + 1) && s.queue_depth == 1
         });
+        release.send(()).expect("the occupant is held");
         let expected = one_shot(COALESCE_DSE);
         for client in identical {
             assert_eq!(client.join().unwrap(), expected);
         }
-        assert_eq!(occupant.join().unwrap(), one_shot(SLOW_DSE));
+        assert_eq!(occupant.join().unwrap(), one_shot(OCCUPANT));
         let s = stats(addr);
         assert_eq!(s.coalesced, FOLLOWERS as u64, "K-1 requests coalesced");
         assert_eq!(s.received, 1 + FOLLOWERS as u64 + 1);
@@ -189,10 +236,8 @@ fn identical_inflight_requests_evaluate_once() {
     // occupant once and the coalesced request once. A duplicate
     // evaluation would add hits (warm re-run) and break equality.
     let reference = Session::new();
-    for line in [SLOW_DSE, COALESCE_DSE] {
-        let mut request = Request::parse(line).unwrap();
-        clamp_nested_workers(&mut request);
-        reference.handle(&request);
+    for line in [OCCUPANT, COALESCE_DSE] {
+        reference.handle(&served(line));
     }
     assert_eq!(session.cache_stats(), reference.cache_stats());
     assert_eq!(session.layer_cache_stats(), reference.layer_cache_stats());
@@ -207,12 +252,20 @@ fn overload_sheds_with_a_parseable_error() {
         max_queue: 1, // one evaluating + one waiting; the third sheds
         ..NetConfig::default()
     };
-    let (session, config) = (&session, &config);
+    let (release, held) = mpsc::channel();
+    let held = Mutex::new(held);
+    let handler = holding(&session, &held);
+    let (session, config, handler) = (&session, &config, &handler);
     thread::scope(|scope| {
-        let server = scope.spawn(move || net::run(session, &listener, config));
-        let occupant = scope.spawn(move || exchange(addr, SLOW_DSE));
+        // Owned by the scenario, so unwinding drops it and frees the
+        // occupant.
+        let release = release;
+        let _stop = StopOnDrop(&config.stop);
+        let server =
+            scope.spawn(move || net::run_with_handler(session, &listener, config, handler));
+        let occupant = scope.spawn(move || exchange(addr, OCCUPANT));
         wait_until("occupant in flight", || stats(addr).in_flight == 1);
-        let queued = scope.spawn(move || exchange(addr, SLOW_DSE_B));
+        let queued = scope.spawn(move || exchange(addr, QUEUED));
         wait_until("queue full", || stats(addr).queue_depth == 1);
         // The gate is saturated: slot + queue taken. A third, distinct
         // request must be answered immediately with the pinned,
@@ -232,8 +285,9 @@ fn overload_sheds_with_a_parseable_error() {
         assert_eq!(s.queue_capacity, 1);
         assert_eq!(s.workers, 1);
         // The occupant and the queued request still complete correctly.
-        assert_eq!(occupant.join().unwrap(), one_shot(SLOW_DSE));
-        assert_eq!(queued.join().unwrap(), one_shot(SLOW_DSE_B));
+        release.send(()).expect("the occupant is held");
+        assert_eq!(occupant.join().unwrap(), one_shot(OCCUPANT));
+        assert_eq!(queued.join().unwrap(), one_shot(QUEUED));
         // Latency percentiles cover the completed (non-shed) requests.
         let s = stats(addr);
         assert_eq!(s.latency.count, 2);
@@ -258,6 +312,7 @@ fn idle_connections_are_reaped_but_the_server_lives_on() {
     };
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
+        let _stop = StopOnDrop(&config.stop);
         let server = scope.spawn(move || net::run(session, &listener, config));
         // A client that connects and never speaks: the server must close
         // it (read returns EOF) rather than pin the thread forever.
@@ -304,6 +359,7 @@ fn shutdown_request_drains_a_unix_server() {
     };
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
+        let _stop = StopOnDrop(&config.stop);
         let server = scope.spawn(move || net::run(session, &listener, config));
         let reply = unix_exchange(r#"{"cmd":"report","benchmark":"rnn","batch":1}"#);
         assert_eq!(reply, one_shot(r#"{"cmd":"report","benchmark":"rnn","batch":1}"#));
@@ -331,6 +387,7 @@ fn hostile_lines_answer_errors_and_the_server_serves_on() {
     let config = NetConfig::default();
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
+        let _stop = StopOnDrop(&config.stop);
         let server = scope.spawn(move || net::run(session, &listener, config));
         let mut stream = UnixStream::connect(&path).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -412,6 +469,7 @@ fn keep_alive_pipelining_matches_one_shot_bytes() {
     ];
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
+        let _stop = StopOnDrop(&config.stop);
         let server = scope.spawn(move || net::run(session, &listener, config));
         let piped = pipeline(addr, &script);
         for (line, reply) in script.iter().zip(&piped) {
@@ -435,6 +493,7 @@ fn tcp_shutdown_is_refused() {
     let config = NetConfig::default(); // allow_shutdown: false
     let (session, config) = (&session, &config);
     thread::scope(|scope| {
+        let _stop = StopOnDrop(&config.stop);
         let server = scope.spawn(move || net::run(session, &listener, config));
         let reply = exchange(addr, r#"{"cmd":"shutdown"}"#);
         match Response::parse(&reply).expect("refusal parses") {

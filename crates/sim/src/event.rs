@@ -3,9 +3,10 @@
 //! [`EventBackend`] consumes a compiled block as a segment stream — one
 //! segment per iteration of the DMA-issuing tile loops, produced by
 //! compiling the block once into a [`bitfusion_isa::SegmentProgram`] and
-//! replaying it allocation-free (the layer-cache *miss* fast path) — and
-//! advances explicit pipeline state across three engines of the §IV
-//! decoupled-access machine:
+//! replaying it allocation-free (the layer-cache *miss* fast path), with
+//! steady-state tile iterations applied in one jump rather than one by
+//! one — and advances explicit pipeline state across three engines of the
+//! §IV decoupled-access machine:
 //!
 //! * a **DMA engine** shared by `ld-mem`/`st-mem`: one transfer at a time
 //!   at the derated off-chip bandwidth, double-buffered per scratchpad — a
@@ -30,7 +31,8 @@
 use bitfusion_compiler::PlannedLayer;
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_energy::FusionEnergy;
-use bitfusion_isa::program::SegmentProgram;
+use bitfusion_isa::block::MAX_LOOP_DEPTH;
+use bitfusion_isa::program::{ReplaySink, SegmentProgram};
 use bitfusion_isa::walker::{for_each_segment_reference, BlockSummary, Segment};
 use bitfusion_isa::{ComputeFn, Scratchpad};
 
@@ -43,6 +45,15 @@ use crate::stats::{BufferOccupancy, LayerPerf, StallBreakdown};
 pub struct EventBackend;
 
 /// Mutable pipeline state advanced one segment at a time.
+///
+/// [`advance`] combines the six time fields (`dma_free`,
+/// `compute_done_prev`, `compute_done_prev2`, `post_free`, `data_ready` and
+/// a pending store's `ready_at`) only with `max` and `+`, and adds to the
+/// busy and stall counters only differences of them. Shifting every time
+/// field by the same `T` therefore shifts the next state by `T` and leaves
+/// the counter increments unchanged, which [`Timeline::periods_after`]
+/// uses to jump over steady-state iterations exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Timeline {
     /// Cycle the DMA engine finishes its queued transfers.
     dma_free: u64,
@@ -101,6 +112,64 @@ impl Timeline {
     fn finish(&mut self) -> u64 {
         self.drain_pending_store();
         self.dma_free.max(self.compute_done_prev).max(self.post_free)
+    }
+
+    /// The state `k` more iterations after `self`, when the iteration that
+    /// led from `prev` to `self` was a pure shift: every time field moved
+    /// by the same `T`, and the pending store's cycles, `prev_resident` and
+    /// the occupancy highwater marks are unchanged.
+    ///
+    /// The next iteration then starts from `self` exactly as the last one
+    /// started from `prev`, shifted by `T`, so each of the `k` iterations
+    /// adds `T` to the time fields and the same increments to the
+    /// counters. (A segment without loads starts its compute at
+    /// `max(0, compute_done_prev)`; the `0` is absorbed because
+    /// `compute_done_prev ≥ 0`.) `None` when the shift is not uniform or
+    /// `k` periods would overflow: the caller then steps.
+    fn periods_after(&self, prev: &Timeline, k: u64) -> Option<Timeline> {
+        if self.prev_resident != prev.prev_resident || self.occupancy != prev.occupancy {
+            return None;
+        }
+        let period = self.dma_free.checked_sub(prev.dma_free)?;
+        let shifted = period.checked_mul(k)?;
+        let time = |now: u64, before: u64| {
+            if now.checked_sub(before)? == period {
+                now.checked_add(shifted)
+            } else {
+                None
+            }
+        };
+        let count =
+            |now: u64, before: u64| now.checked_add(now.checked_sub(before)?.checked_mul(k)?);
+        let pending_store = match (self.pending_store, prev.pending_store) {
+            (None, None) => None,
+            (Some((cycles, ready_at)), Some((prev_cycles, prev_ready_at)))
+                if cycles == prev_cycles =>
+            {
+                Some((cycles, time(ready_at, prev_ready_at)?))
+            }
+            _ => return None,
+        };
+        Some(Timeline {
+            dma_free: time(self.dma_free, prev.dma_free)?,
+            compute_done_prev: time(self.compute_done_prev, prev.compute_done_prev)?,
+            compute_done_prev2: time(self.compute_done_prev2, prev.compute_done_prev2)?,
+            post_free: time(self.post_free, prev.post_free)?,
+            data_ready: time(self.data_ready, prev.data_ready)?,
+            pending_store,
+            dma_busy: count(self.dma_busy, prev.dma_busy)?,
+            compute_busy: count(self.compute_busy, prev.compute_busy)?,
+            stalls: StallBreakdown {
+                bandwidth_starved: count(
+                    self.stalls.bandwidth_starved,
+                    prev.stalls.bandwidth_starved,
+                )?,
+                compute_starved: count(self.stalls.compute_starved, prev.stalls.compute_starved)?,
+                fill_drain: count(self.stalls.fill_drain, prev.stalls.fill_drain)?,
+            },
+            prev_resident: self.prev_resident,
+            occupancy: self.occupancy,
+        })
     }
 }
 
@@ -235,6 +304,78 @@ fn advance(t: &mut Timeline, seg: &Segment, c: &SegmentCycles) {
     }
 }
 
+/// Drives a [`Timeline`] from a run-aware program replay, jumping over
+/// iterations once they only shift it (see [`Timeline::periods_after`]).
+/// Where the shift is not uniform — DMA-only deltas that leave
+/// `compute_done_prev` behind, transients — it steps, so the result never
+/// depends on the detection succeeding.
+struct TimelineSink<'a> {
+    program: &'a SegmentProgram,
+    costs: &'a SegmentCosts,
+    /// Per program delta, its cycle costs (the `DeratedRate` divisions
+    /// made once per delta, not once per emission).
+    delta_cycles: Vec<SegmentCycles>,
+    timeline: Timeline,
+    /// Per loop depth, the state at that loop's previous iteration
+    /// boundary.
+    marks: [Timeline; MAX_LOOP_DEPTH as usize],
+}
+
+impl<'a> TimelineSink<'a> {
+    fn new(program: &'a SegmentProgram, costs: &'a SegmentCosts) -> Self {
+        TimelineSink {
+            program,
+            costs,
+            delta_cycles: (0..program.delta_count())
+                .map(|i| {
+                    let (seg, load_bits, store_bits) = program.delta(i);
+                    SegmentCycles::of(seg, load_bits, store_bits, costs)
+                })
+                .collect(),
+            timeline: Timeline::new(),
+            marks: [Timeline::new(); MAX_LOOP_DEPTH as usize],
+        }
+    }
+}
+
+impl ReplaySink for TimelineSink<'_> {
+    fn segment(&mut self, seg: &Segment, load_bits: u64, store_bits: u64) {
+        let c = SegmentCycles::of(seg, load_bits, store_bits, self.costs);
+        advance(&mut self.timeline, seg, &c);
+    }
+
+    fn run(&mut self, delta: u32, count: u32) {
+        // Every emission of the run is the same delta, so even the first
+        // step is one period.
+        let (seg, _, _) = self.program.delta(delta as usize);
+        let c = &self.delta_cycles[delta as usize];
+        for left in (0..count).rev() {
+            let prev = self.timeline;
+            advance(&mut self.timeline, seg, c);
+            if left > 0 {
+                if let Some(next) = self.timeline.periods_after(&prev, u64::from(left)) {
+                    self.timeline = next;
+                    return;
+                }
+            }
+        }
+    }
+
+    fn iteration_end(&mut self, depth: usize, done: u32, remaining: u32) -> bool {
+        // The first iteration may carry a prefix in; iterations from the
+        // second on are one period each.
+        let mark = &mut self.marks[depth];
+        if done > 1 {
+            if let Some(next) = self.timeline.periods_after(mark, u64::from(remaining)) {
+                self.timeline = next;
+                return true;
+            }
+        }
+        *mark = self.timeline;
+        false
+    }
+}
+
 fn segment_costs(layer: &PlannedLayer, arch: &ArchConfig, opts: &SimOptions) -> SegmentCosts {
     let m = &layer.mapping;
     let facts = layer.segment_facts();
@@ -287,39 +428,24 @@ impl SimBackend for EventBackend {
     ) -> LayerPerf {
         let costs = segment_costs(layer, arch, opts);
         // The cache-miss fast path: compile the block's loop tree once into
-        // a flat segment program, then replay it allocation-free. The
-        // program also precomputes per-segment DMA bit totals and the
-        // whole-block merge (== `summarize`), so nothing is re-summed or
-        // re-merged per segment — and since steady-state tile iterations
-        // emit a constant delta, their cycle costs (the DeratedRate
-        // divisions) are derived once per delta here and replayed by
-        // keyed lookup.
+        // a flat segment program and replay it run by run, jumping over
+        // tile iterations once they only shift the timeline.
         let program = SegmentProgram::compile(&layer.block);
-        let delta_cycles: Vec<SegmentCycles> = (0..program.delta_count())
-            .map(|i| {
-                let (seg, load_bits, store_bits) = program.delta(i);
-                SegmentCycles::of(seg, load_bits, store_bits, &costs)
-            })
-            .collect();
-        let mut timeline = Timeline::new();
-        program.replay_keyed(&mut |seg, load_bits, store_bits, key| match key {
-            Some(i) => advance(&mut timeline, seg, &delta_cycles[i as usize]),
-            None => {
-                let c = SegmentCycles::of(seg, load_bits, store_bits, &costs);
-                advance(&mut timeline, seg, &c);
-            }
-        });
-        perf_from_timeline(layer, arch, energy, opts, timeline, program.total())
+        let mut sink = TimelineSink::new(&program, &costs);
+        program.replay_runs(&mut sink);
+        perf_from_timeline(layer, arch, energy, opts, sink.timeline, program.total())
     }
 }
 
-/// The pre-program evaluation path: drives the same [`Timeline`] from the
-/// naive reference tree walk (per-iteration `subtree_has_dma`, per-segment
-/// analytic re-folds, per-segment buffer re-summing and stream merging).
+/// The pre-program evaluation path: steps the same [`Timeline`] through
+/// every segment of the naive reference tree walk (per-iteration
+/// `subtree_has_dma`, per-segment analytic re-folds, per-segment buffer
+/// re-summing and stream merging).
 ///
 /// Produces bit-identical results to [`EventBackend::evaluate_layer`]; kept
-/// solely as the baseline the bench trajectory's ≥2x cold-path speedup is
-/// asserted against.
+/// as the oracle its steady-state jumps are tested against and as the
+/// baseline the bench trajectory's ≥2x cold-path speedup is asserted
+/// against.
 #[doc(hidden)]
 pub fn evaluate_layer_naive(
     layer: &PlannedLayer,
@@ -343,7 +469,10 @@ mod tests {
     use super::*;
     use crate::backend::AnalyticBackend;
     use bitfusion_compiler::compile;
+    use bitfusion_core::bitwidth::PairPrecision;
     use bitfusion_dnn::zoo::Benchmark;
+    use bitfusion_dnn::QuantSpec;
+    use bitfusion_isa::BlockBuilder;
 
     fn eval_both(b: Benchmark, batch: u64) -> Vec<(LayerPerf, LayerPerf)> {
         let arch = ArchConfig::isca_45nm();
@@ -416,19 +545,140 @@ mod tests {
 
     #[test]
     fn naive_walk_and_compiled_program_agree_exactly() {
-        // The compiled-segment-program fast path must be a pure
-        // optimization: every field of every layer's result identical to
-        // the naive reference walk it replaced.
-        let arch = ArchConfig::isca_45nm();
+        // The compiled-program path, with its steady-state jumps, must be a
+        // pure optimization: every field of every layer's result identical
+        // to stepping the naive reference walk. The subset covers every
+        // zoo network under both quant specs of the dse grids, including
+        // the longest tile loop of those grids (AlexNet conv2, uniform8).
         let e = FusionEnergy::isca_45nm();
         let o = SimOptions::default();
-        for b in [Benchmark::Svhn, Benchmark::Lstm, Benchmark::ResNet18] {
-            let plan = compile(&b.model(), &arch, 4).unwrap();
-            for l in &plan.layers {
-                let fast = EventBackend.evaluate_layer(l, &arch, &e, &o);
-                let naive = evaluate_layer_naive(l, &arch, &e, &o);
-                assert_eq!(fast, naive, "{b}/{}", l.name);
+        for (rows, cols, bandwidth) in [(16, 8, 64), (32, 16, 256)] {
+            let arch = ArchConfig {
+                rows,
+                cols,
+                dram_bits_per_cycle: bandwidth,
+                ..ArchConfig::isca_45nm()
+            };
+            for b in Benchmark::ALL {
+                for quant in [QuantSpec::paper(), QuantSpec::uniform(8).unwrap()] {
+                    let model = quant.apply(&b.model()).unwrap();
+                    let plan = compile(&model, &arch, 16).unwrap();
+                    for l in &plan.layers {
+                        let fast = EventBackend.evaluate_layer(l, &arch, &e, &o);
+                        let naive = evaluate_layer_naive(l, &arch, &e, &o);
+                        assert_eq!(fast, naive, "{b}/{quant}/{rows}x{cols}@{bandwidth}/{}", l.name);
+                    }
+                }
             }
+        }
+    }
+
+    /// Costs for the hand-built blocks below: 32 DRAM bits per cycle, one
+    /// cycle per MAC step, 4 steps per systolic pass, an 8-cycle fill.
+    fn unit_costs(dram_bits_per_cycle: u64) -> SegmentCosts {
+        SegmentCosts {
+            effective_bw: DeratedRate::new(dram_bits_per_cycle, 1.0),
+            temporal_cycles: 1,
+            steps_per_pass: 4,
+            fill_cost: 8,
+            systolic: DeratedRate::new(1, 1.0),
+        }
+    }
+
+    /// The timeline after stepping every segment of `program`.
+    fn stepped(program: &SegmentProgram, costs: &SegmentCosts) -> Timeline {
+        let mut t = Timeline::new();
+        program.replay(&mut |seg, load, store| {
+            advance(&mut t, seg, &SegmentCycles::of(seg, load, store, costs));
+        });
+        t
+    }
+
+    /// A [`TimelineSink`] that records the depths of the loops it jumped.
+    struct Jumps<'a> {
+        sink: TimelineSink<'a>,
+        depths: Vec<usize>,
+    }
+
+    impl ReplaySink for Jumps<'_> {
+        fn segment(&mut self, seg: &Segment, load_bits: u64, store_bits: u64) {
+            self.sink.segment(seg, load_bits, store_bits);
+        }
+
+        fn run(&mut self, delta: u32, count: u32) {
+            self.sink.run(delta, count);
+        }
+
+        fn iteration_end(&mut self, depth: usize, done: u32, remaining: u32) -> bool {
+            let jumped = self.sink.iteration_end(depth, done, remaining);
+            if jumped {
+                self.depths.push(depth);
+            }
+            jumped
+        }
+    }
+
+    /// The timeline after a jumping replay, and the loops it jumped.
+    fn jumped(program: &SegmentProgram, costs: &SegmentCosts) -> (Timeline, Vec<usize>) {
+        let mut jumps = Jumps {
+            sink: TimelineSink::new(program, costs),
+            depths: Vec::new(),
+        };
+        program.replay_runs(&mut jumps);
+        (jumps.sink.timeline, jumps.depths)
+    }
+
+    #[test]
+    fn a_dma_only_delta_steps() {
+        // Loads with nothing to compute: `dma_free` advances every
+        // iteration while `compute_done_prev` stays put, so no iteration is
+        // a uniform shift and every one must be stepped.
+        let pair = PairPrecision::from_bits(8, 8).unwrap();
+        let mut b = BlockBuilder::new("dma-only", pair);
+        b.open_loop(40).unwrap();
+        b.ld_mem(Scratchpad::Wbuf, 8, 16).unwrap();
+        b.close_loop();
+        let program = SegmentProgram::compile(&b.finish(0).unwrap());
+        let costs = unit_costs(32);
+        let (seg, load_bits, store_bits) = program.delta(0);
+        let c = SegmentCycles::of(seg, load_bits, store_bits, &costs);
+        let mut t = Timeline::new();
+        advance(&mut t, seg, &c);
+        let prev = t;
+        advance(&mut t, seg, &c);
+        assert!(t.dma_free > prev.dma_free);
+        assert_eq!(t.compute_done_prev, prev.compute_done_prev);
+        assert_eq!(t.periods_after(&prev, 1), None);
+        assert_eq!(jumped(&program, &costs).0, stepped(&program, &costs));
+    }
+
+    #[test]
+    fn a_nested_repeat_jumps_its_outer_loop() {
+        // 60 outer tiles × (input load, 8 inner tiles × (weight load, 16
+        // MACs), output write, store): a counted outer loop around a fused
+        // inner one. Both pipes reach a steady state within a few outer
+        // iterations, compute-bound and bandwidth-bound alike.
+        let pair = PairPrecision::from_bits(4, 2).unwrap();
+        let mut b = BlockBuilder::new("nested-jump", pair);
+        b.open_loop(60).unwrap();
+        b.ld_mem(Scratchpad::Ibuf, 4, 64).unwrap();
+        b.open_loop(8).unwrap();
+        b.ld_mem(Scratchpad::Wbuf, 2, 32).unwrap();
+        b.open_loop(16).unwrap();
+        b.rd_buf(Scratchpad::Ibuf);
+        b.rd_buf(Scratchpad::Wbuf);
+        b.compute(ComputeFn::Mac);
+        b.close_loop();
+        b.close_loop();
+        b.wr_buf(Scratchpad::Obuf);
+        b.st_mem(Scratchpad::Obuf, 8, 16).unwrap();
+        b.close_loop();
+        let program = SegmentProgram::compile(&b.finish(0).unwrap());
+        for bandwidth in [2, 512] {
+            let costs = unit_costs(bandwidth);
+            let (timeline, depths) = jumped(&program, &costs);
+            assert_eq!(depths, vec![0], "{bandwidth} bits/cycle: the outer loop jumps once");
+            assert_eq!(timeline, stepped(&program, &costs), "{bandwidth} bits/cycle");
         }
     }
 
