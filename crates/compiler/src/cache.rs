@@ -337,15 +337,6 @@ impl ArtifactCache {
             capacity: self.capacity,
         }
     }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("artifact cache poisoned")
-            .map
-            .clear();
-    }
 }
 
 /// The identity of one memoized layer evaluation in the layer tier: the
@@ -495,15 +486,6 @@ impl<V> LayerArtifactCache<V> {
             len: inner.map.len(),
             capacity: self.capacity,
         }
-    }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("layer cache poisoned")
-            .map
-            .clear();
     }
 }
 

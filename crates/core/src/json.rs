@@ -18,10 +18,11 @@
 //!   [`MAX_DEPTH`] arrays/objects deep, so no input can exhaust the stack.
 //!
 //! Numbers keep their integer-ness: a literal without `.`/`e` parses to
-//! [`Json::Int`], everything else to [`Json::Float`]. Floats encode via
-//! Rust's shortest-round-trip `Display`, so `encode ∘ parse` is a fixed
-//! point on encoder output (the protocol's round-trip property tests pin
-//! this).
+//! [`Json::Int`] (or [`Json::UInt`] above `i64::MAX`), everything else to
+//! [`Json::Float`], so every `i64` and `u64` round-trips exactly. Floats
+//! encode via Rust's shortest-round-trip `Display`, so `encode ∘ parse` is
+//! a fixed point on encoder output (the protocol's round-trip property
+//! tests pin this).
 
 use std::fmt;
 
@@ -34,8 +35,11 @@ pub enum Json {
     Bool(bool),
     /// A number written without a fraction or exponent.
     Int(i64),
+    /// An integer above `i64::MAX`; [`Json::uint`] and the parser use it
+    /// only there, so every integer has one representation.
+    UInt(u64),
     /// A number written with a fraction or exponent (also the fallback for
-    /// integer literals outside the `i64` range).
+    /// integer literals outside the `i64` and `u64` ranges).
     Float(f64),
     /// A string.
     Str(String),
@@ -52,10 +56,10 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Wraps a `u64` (values beyond `i64::MAX` — never produced by the
-    /// simulator — saturate).
+    /// Wraps a `u64` exactly: [`Json::Int`] up to `i64::MAX`, [`Json::UInt`]
+    /// above it (large batches push MAC and bit counts there).
     pub fn uint(v: u64) -> Json {
-        Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+        i64::try_from(v).map_or(Json::UInt(v), Json::Int)
     }
 
     /// Wraps an `f64`; non-finite values (never produced by the simulator)
@@ -96,6 +100,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(i) => u64::try_from(*i).ok(),
+            Json::UInt(u) => Some(*u),
             _ => None,
         }
     }
@@ -104,6 +109,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
+            Json::UInt(u) => Some(*u as f64),
             Json::Float(f) => Some(*f),
             _ => None,
         }
@@ -132,6 +138,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Int(i) => out.push_str(&i.to_string()),
+            Json::UInt(u) => out.push_str(&u.to_string()),
             Json::Float(f) => {
                 if *f == 0.0 {
                     // Negative zero too: `-0` would re-parse as the
@@ -461,6 +468,9 @@ impl Parser<'_> {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
             }
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Json::UInt(u));
+            }
         }
         text.parse::<f64>()
             .map(Json::Float)
@@ -474,7 +484,19 @@ mod tests {
 
     #[test]
     fn scalars_round_trip() {
-        for text in ["null", "true", "false", "0", "-7", "123456789", "1.5", "-0.25"] {
+        for text in [
+            "null",
+            "true",
+            "false",
+            "0",
+            "-7",
+            "123456789",
+            "1.5",
+            "-0.25",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "18446744073709551615",
+        ] {
             let v = parse(text).unwrap();
             assert_eq!(v.encode(), text, "{text}");
         }
@@ -485,7 +507,13 @@ mod tests {
         assert_eq!(parse("42").unwrap(), Json::Int(42));
         assert_eq!(parse("42.0").unwrap(), Json::Float(42.0));
         assert_eq!(parse("1e3").unwrap(), Json::Float(1000.0));
-        // Beyond i64: falls back to float rather than failing.
+        assert_eq!(parse("-0").unwrap(), Json::Int(0));
+        // Every u64 stays an exact integer, built or parsed.
+        for v in [i64::MAX as u64, 1 << 63, u64::MAX] {
+            assert_eq!(parse(&v.to_string()).unwrap(), Json::uint(v));
+            assert_eq!(Json::uint(v).as_u64(), Some(v));
+        }
+        // Beyond u64: falls back to float rather than failing.
         assert!(matches!(
             parse("99999999999999999999").unwrap(),
             Json::Float(_)

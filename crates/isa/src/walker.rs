@@ -420,8 +420,8 @@ pub fn for_each_segment(block: &InstructionBlock, visit: &mut impl FnMut(&Segmen
 ///
 /// Kept as the executable specification of the segmentation rule: the
 /// property tests replay every [`SegmentProgram`](crate::program) against
-/// it, and the bench trajectory uses it as the cold-path baseline. Not for
-/// production use.
+/// it, and the event backend's naive oracle walks it. Not for production
+/// use.
 #[doc(hidden)]
 pub fn for_each_segment_reference(
     block: &InstructionBlock,

@@ -31,9 +31,9 @@ use bitfusion_dnn::zoo::Benchmark;
 use bitfusion_energy::{ChipArea, EnergyBreakdown, FusionEnergy};
 use bitfusion_isa::asm::format_block;
 use bitfusion_sim::{
-    bandwidth_sweep_tiered, batch_sweep_tiered, explore_with_caches,
-    layer_cache::run_plan_cached, plan_layer_sharing, AnalyticBackend, DseResult, DseSpec,
-    EventBackend, LayerPerfCache, PerfReport, SimOptions, Sweep,
+    bandwidth_sweep, batch_sweep, explore_with_caches, layer_cache::run_plan_cached,
+    plan_layer_sharing, AnalyticBackend, DseResult, DseSpec, EventBackend, LayerPerfCache,
+    PerfReport, SimOptions, Sweep,
 };
 
 use crate::protocol::{
@@ -114,12 +114,6 @@ impl Session {
     /// Replaces the artifact cache with one of the given capacity.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache = ArtifactCache::new(capacity);
-        self
-    }
-
-    /// Replaces the layer-tier cache with one of the given capacity.
-    pub fn with_layer_cache_capacity(mut self, capacity: usize) -> Self {
-        self.layer_cache = LayerPerfCache::new(capacity);
         self
     }
 
@@ -620,7 +614,7 @@ impl Session {
         model: &bitfusion_dnn::model::Model,
     ) -> Result<Sweep<u32>, bitfusion_compiler::CompileError> {
         match backend {
-            BackendChoice::Analytic => bandwidth_sweep_tiered(
+            BackendChoice::Analytic => bandwidth_sweep(
                 &AnalyticBackend,
                 arch,
                 model,
@@ -630,7 +624,7 @@ impl Session {
                 &self.cache,
                 &self.layer_cache,
             ),
-            BackendChoice::Event => bandwidth_sweep_tiered(
+            BackendChoice::Event => bandwidth_sweep(
                 &EventBackend,
                 arch,
                 model,
@@ -650,7 +644,7 @@ impl Session {
         model: &bitfusion_dnn::model::Model,
     ) -> Result<Sweep<u64>, bitfusion_compiler::CompileError> {
         match backend {
-            BackendChoice::Analytic => batch_sweep_tiered(
+            BackendChoice::Analytic => batch_sweep(
                 &AnalyticBackend,
                 arch,
                 model,
@@ -659,7 +653,7 @@ impl Session {
                 &self.cache,
                 &self.layer_cache,
             ),
-            BackendChoice::Event => batch_sweep_tiered(
+            BackendChoice::Event => batch_sweep(
                 &EventBackend,
                 arch,
                 model,
@@ -906,6 +900,29 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn counts_above_i64_max_reach_the_wire_exactly() {
+        // AlexNet at batch 2^32 does ~1.15e19 MACs, past i64::MAX.
+        let batch = 1 << 32;
+        let reply = Session::new()
+            .handle(&Request::Report {
+                model: ModelSource::zoo("alexnet"),
+                batch,
+                bandwidth: None,
+                arch: ArchPreset::Isca45nm,
+                backend: None,
+                quant: None,
+            })
+            .encode();
+        let direct = BitFusionSim::new(ArchConfig::isca_45nm())
+            .run(&Benchmark::AlexNet.model(), batch)
+            .unwrap();
+        assert!(direct.total_macs() > i64::MAX as u64);
+        let doc = crate::json::parse(&reply).unwrap();
+        let macs = doc.get("macs").and_then(crate::json::Json::as_u64);
+        assert_eq!(macs, Some(direct.total_macs()), "{reply}");
     }
 
     #[test]

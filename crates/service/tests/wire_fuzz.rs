@@ -2,10 +2,11 @@
 //! reach: `Json::parse`, `parse_model` and `Request::parse`.
 //!
 //! The seeds are the golden request lines, the golden reply lines (their
-//! floats exercise `Json::parse`) and the shipped model documents
-//! (`examples/models/*.json`). Each mutant flips, inserts, deletes or
-//! duplicates bytes, or splices in a run of `[`/`{` (long runs probe the
-//! nesting bound). Nothing may panic, and every input a parser accepts
+//! floats exercise `Json::parse`), the shipped model documents
+//! (`examples/models/*.json`) and lines carrying the integer extremes
+//! (2^63, `u64::MAX`, `i64::MIN`, `-0`). Each mutant flips, inserts,
+//! deletes or duplicates bytes, or splices in a run of `[`/`{` (long runs
+//! probe the nesting bound). Nothing may panic, and every input a parser accepts
 //! must re-encode to a fixed point: `encode ∘ parse ∘ encode` equals
 //! `encode`.
 
@@ -24,11 +25,20 @@ const MUTANTS: usize = 300;
 /// Bytes that steer a JSON parser somewhere interesting.
 const INSERTS: &[u8] = b"\"\\{}[]:,-+.0123456789eEnulltruefalse \t\n\x01\xff";
 
+/// Lines at the edges of the integer domain: past `i64::MAX` a number
+/// still decodes as an exact integer, past `u64::MAX` it becomes a float.
+const EXTREMES: [&str; 3] = [
+    r#"{"cmd":"report","benchmark":"alexnet","batch":9223372036854775808}"#,
+    r#"{"cmd":"report","benchmark":"alexnet","batch":18446744073709551615}"#,
+    "[9223372036854775808,18446744073709551615,-9223372036854775808,-0]",
+];
+
 fn seeds() -> Vec<Vec<u8>> {
     let requests = golden::requests().into_iter().map(|(_, line)| line);
     let responses = golden::responses().into_iter().map(|(_, line)| line);
     let mut seeds: Vec<Vec<u8>> = requests
         .chain(responses)
+        .chain(EXTREMES)
         .map(|line| line.as_bytes().to_vec())
         .collect();
     let models = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/models");

@@ -21,10 +21,9 @@
 //!   the shared [`ArtifactCache`] (compiling it at most once per run), so
 //!   e.g. a 5-point bandwidth axis costs one compilation, not five
 //!   ([`DseResult::compile_hits`] counts the points served without a fresh
-//!   compilation). [`explore_with_cache`] accepts a caller-owned cache —
-//!   the session facade passes its own, so repeated explorations (and
-//!   `report`/`compare`/`sweep` requests touching the same keys) skip
-//!   compilation entirely;
+//!   compilation). The session facade passes its own cache, so repeated
+//!   explorations (and `report`/`compare`/`sweep` requests touching the
+//!   same keys) skip compilation entirely;
 //! * **memoized evaluation** — below the artifact cache sits the layer
 //!   tier ([`crate::layer_cache`]): per-layer results keyed on structural
 //!   fingerprints, so a repeated layer shape — within a network, across
@@ -484,24 +483,17 @@ impl ArchKey {
     }
 }
 
-/// Explores the spec on `backend` with a private, throwaway artifact cache
-/// — see [`explore_with_cache`], which this delegates to, for the shared
-/// (session-owned) variant.
+/// Explores the spec on `backend` with private, throwaway caches of both
+/// tiers — see [`explore_with_caches`], which this delegates to, for the
+/// shared (session-owned) variant.
 pub fn explore<B: SimBackend + Sync>(spec: &DseSpec, backend: &B, workers: usize) -> DseResult {
-    explore_with_cache(spec, backend, workers, &ArtifactCache::default())
-}
-
-/// Explores the spec on `backend` through a shared artifact (model-tier)
-/// cache and a private, throwaway layer-tier cache — see
-/// [`explore_with_caches`], which this delegates to, for the two-tier
-/// (session-owned) variant.
-pub fn explore_with_cache<B: SimBackend + Sync>(
-    spec: &DseSpec,
-    backend: &B,
-    workers: usize,
-    cache: &ArtifactCache,
-) -> DseResult {
-    explore_with_caches(spec, backend, workers, cache, &LayerPerfCache::default())
+    explore_with_caches(
+        spec,
+        backend,
+        workers,
+        &ArtifactCache::default(),
+        &LayerPerfCache::default(),
+    )
 }
 
 /// Explores the spec on `backend`, sharded across `workers` threads
@@ -791,6 +783,7 @@ pub fn explore_with_caches<B: SimBackend + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accelerator::BitFusionSim;
     use crate::backend::AnalyticBackend;
     use crate::event::EventBackend;
 
@@ -828,10 +821,11 @@ mod tests {
     fn warm_cache_skips_every_compilation_with_identical_results() {
         let spec = small_spec();
         let cache = ArtifactCache::default();
-        let cold = explore_with_cache(&spec, &AnalyticBackend, 2, &cache);
+        let layer_cache = LayerPerfCache::default();
+        let cold = explore_with_caches(&spec, &AnalyticBackend, 2, &cache, &layer_cache);
         assert_eq!(cold.compile_misses, 16);
         assert_eq!(cold.compile_hits, 48 - 16);
-        let warm = explore_with_cache(&spec, &AnalyticBackend, 2, &cache);
+        let warm = explore_with_caches(&spec, &AnalyticBackend, 2, &cache, &layer_cache);
         assert_eq!(warm.compile_misses, 0, "every key resident");
         assert_eq!(warm.compile_hits, 48);
         assert_eq!(warm.compile_unique, 16, "spec-level sharing is warmth-independent");
@@ -853,42 +847,69 @@ mod tests {
                 ..ArchGrid::from_base(ArchConfig::isca_45nm())
             },
             models: vec![Benchmark::ResNet18.model()],
-            quant_specs: vec![QuantSpec::paper()],
+            quant_specs: vec![QuantSpec::paper(), QuantSpec::uniform(8).unwrap()],
             batches: vec![16],
             options: SimOptions::default(),
         };
+        check_layer_tier(&spec, AnalyticBackend);
+        check_layer_tier(&spec, EventBackend);
+    }
+
+    /// Runs `spec` cold, then warm, through one pair of caches: the layer
+    /// tier evaluates each unique key once, the warm run evaluates nothing,
+    /// and neither warmth nor the tier changes a point or the frontier.
+    fn check_layer_tier<B: SimBackend + Sync + Copy>(spec: &DseSpec, backend: B) {
+        let name = backend.name();
         let cache = ArtifactCache::default();
         let layer_cache = LayerPerfCache::default();
-        let cold = explore_with_caches(&spec, &AnalyticBackend, 2, &cache, &layer_cache);
+        let cold = explore_with_caches(spec, &backend, 2, &cache, &layer_cache);
+        assert_eq!(cold.points.len(), spec.len(), "{name}");
         // ResNet-18's basic blocks repeat shapes: fewer unique keys than
         // evaluations even though the 2-point bandwidth axis splits keys.
         assert!(
             cold.layer_unique < cold.layer_evals,
-            "{} unique / {} evals",
+            "{name}: {} unique / {} evals",
             cold.layer_unique,
             cold.layer_evals
         );
         assert_eq!(cold.spec_layer_hits(), cold.layer_evals - cold.layer_unique);
         let cold_stats = layer_cache.stats();
-        assert_eq!(cold_stats.misses, cold.layer_unique, "cold cache evaluates each key once");
+        assert_eq!(
+            cold_stats.misses, cold.layer_unique,
+            "{name}: cold cache evaluates each key once"
+        );
         assert_eq!(
             cold_stats.hits + cold_stats.misses,
             cold.layer_evals,
-            "every evaluation goes through the tier"
+            "{name}: every evaluation goes through the tier"
         );
         // Warm re-run: zero new evaluations, identical results and
         // identical spec-level counters.
-        let warm = explore_with_caches(&spec, &AnalyticBackend, 2, &cache, &layer_cache);
-        assert_eq!(layer_cache.stats().misses, cold_stats.misses);
-        assert_eq!(warm.layer_evals, cold.layer_evals);
-        assert_eq!(warm.layer_unique, cold.layer_unique);
+        let warm = explore_with_caches(spec, &backend, 2, &cache, &layer_cache);
+        assert_eq!(layer_cache.stats().misses, cold_stats.misses, "{name}");
+        assert_eq!(warm.layer_evals, cold.layer_evals, "{name}");
+        assert_eq!(warm.layer_unique, cold.layer_unique, "{name}");
+        assert_eq!(warm.points.len(), cold.points.len(), "{name}");
         for (a, b) in cold.points.iter().zip(&warm.points) {
-            assert_eq!(a.report, b.report, "{}/{}", a.model_name, a.batch);
+            assert_eq!(a.arch, b.arch, "{name}");
+            assert_eq!(a.quant, b.quant, "{name}");
+            assert_eq!(a.report, b.report, "{name}: {}/{}", a.model_name, a.quant);
         }
-        // And the tiered path matches the untier-ed baseline bit for bit.
-        let direct = explore(&spec, &AnalyticBackend, 1);
-        for (a, b) in direct.points.iter().zip(&cold.points) {
-            assert_eq!(a.report, b.report, "{}/{}", a.model_name, a.batch);
+        assert_eq!(
+            format!("{:?}", cold.pareto_frontier()),
+            format!("{:?}", warm.pareto_frontier()),
+            "{name}: frontier"
+        );
+        // And the tier matches evaluating every layer directly.
+        for p in &cold.points {
+            let model = QuantSpec::parse(&p.quant)
+                .unwrap()
+                .apply(&spec.models[0])
+                .unwrap();
+            let direct = BitFusionSim::with_backend(p.arch.clone(), backend)
+                .run(&model, p.batch)
+                .unwrap();
+            assert_eq!(direct, p.report, "{name}: {}/{}", p.model_name, p.quant);
         }
     }
 

@@ -443,9 +443,7 @@ impl SimBackend for EventBackend {
 /// re-summing and stream merging).
 ///
 /// Produces bit-identical results to [`EventBackend::evaluate_layer`]; kept
-/// as the oracle its steady-state jumps are tested against and as the
-/// baseline the bench trajectory's ≥2x cold-path speedup is asserted
-/// against.
+/// as the oracle its steady-state jumps are tested against.
 #[doc(hidden)]
 pub fn evaluate_layer_naive(
     layer: &PlannedLayer,

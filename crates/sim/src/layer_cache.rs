@@ -22,7 +22,6 @@
 
 use bitfusion_compiler::{layer_fingerprint, LayerArtifactCache, LayerKey, PlannedLayer};
 use bitfusion_core::arch::ArchConfig;
-use bitfusion_dnn::model::Model;
 use bitfusion_energy::FusionEnergy;
 
 use crate::backend::SimBackend;
@@ -144,25 +143,6 @@ pub fn plan_layer_sharing(plan: &bitfusion_compiler::ExecutionPlan) -> (u64, u64
     )
 }
 
-/// Compile (direct, uncached model tier) + evaluate through the layer
-/// cache — a convenience mirroring `BitFusionSim::run`.
-///
-/// # Errors
-///
-/// Propagates compilation failures.
-pub fn run_cached<B: SimBackend + ?Sized>(
-    backend: &B,
-    model: &Model,
-    arch: &ArchConfig,
-    batch: u64,
-    opts: &SimOptions,
-    cache: &LayerPerfCache,
-) -> Result<PerfReport, bitfusion_compiler::CompileError> {
-    let plan = bitfusion_compiler::compile(model, arch, batch)?;
-    let energy = FusionEnergy::isca_45nm();
-    Ok(run_plan_cached(backend, &plan, arch, &energy, opts, cache))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,18 +151,31 @@ mod tests {
     use crate::event::EventBackend;
     use bitfusion_dnn::zoo::Benchmark;
 
+    /// Compiles `benchmark` and evaluates the plan through `cache`.
+    fn run<B: SimBackend>(
+        backend: &B,
+        benchmark: Benchmark,
+        arch: &ArchConfig,
+        batch: u64,
+        cache: &LayerPerfCache,
+    ) -> PerfReport {
+        let plan = bitfusion_compiler::compile(&benchmark.model(), arch, batch).unwrap();
+        let energy = FusionEnergy::isca_45nm();
+        run_plan_cached(backend, &plan, arch, &energy, &SimOptions::default(), cache)
+    }
+
     #[test]
     fn cached_run_matches_the_direct_path_cold_and_warm() {
         let arch = ArchConfig::isca_45nm();
-        let model = Benchmark::ResNet18.model();
-        let opts = SimOptions::default();
-        let direct = BitFusionSim::new(arch.clone()).run(&model, 16).unwrap();
+        let direct = BitFusionSim::new(arch.clone())
+            .run(&Benchmark::ResNet18.model(), 16)
+            .unwrap();
         let cache = LayerPerfCache::default();
-        let cold = run_cached(&AnalyticBackend, &model, &arch, 16, &opts, &cache).unwrap();
+        let cold = run(&AnalyticBackend, Benchmark::ResNet18, &arch, 16, &cache);
         assert_eq!(cold, direct, "cold cached run must equal the direct path");
         let stats = cache.stats();
         assert!(stats.hits > 0, "ResNet-18 repeats basic blocks: {stats:?}");
-        let warm = run_cached(&AnalyticBackend, &model, &arch, 16, &opts, &cache).unwrap();
+        let warm = run(&AnalyticBackend, Benchmark::ResNet18, &arch, 16, &cache);
         assert_eq!(warm, direct, "warmth must never change bytes");
         assert_eq!(cache.stats().misses, stats.misses, "no re-evaluation");
     }
@@ -191,15 +184,7 @@ mod tests {
     fn twin_layers_keep_their_own_names() {
         let arch = ArchConfig::isca_45nm();
         let cache = LayerPerfCache::default();
-        let report = run_cached(
-            &AnalyticBackend,
-            &Benchmark::ResNet18.model(),
-            &arch,
-            16,
-            &SimOptions::default(),
-            &cache,
-        )
-        .unwrap();
+        let report = run(&AnalyticBackend, Benchmark::ResNet18, &arch, 16, &cache);
         let mut names = std::collections::HashSet::new();
         for l in &report.layers {
             assert!(names.insert(l.name.clone()), "duplicate name {}", l.name);
@@ -230,29 +215,27 @@ mod tests {
         // the event backend's stall-attributed results from answering
         // analytic requests.
         let arch = ArchConfig::isca_45nm();
-        let model = Benchmark::Rnn.model();
-        let opts = SimOptions::default();
         let cache = LayerPerfCache::default();
-        let an = run_cached(&AnalyticBackend, &model, &arch, 1, &opts, &cache).unwrap();
-        let ev = run_cached(&EventBackend, &model, &arch, 1, &opts, &cache).unwrap();
+        let an = run(&AnalyticBackend, Benchmark::Rnn, &arch, 1, &cache);
+        let ev = run(&EventBackend, Benchmark::Rnn, &arch, 1, &cache);
         assert_eq!(an.total_dram_bits(), ev.total_dram_bits());
         assert_ne!(
             an.layers[0].cycles, ev.layers[0].cycles,
             "backends differ in timing, so entries must not alias"
         );
-        let direct_ev = BitFusionSim::event(arch).run(&model, 1).unwrap();
+        let direct_ev = BitFusionSim::event(arch)
+            .run(&Benchmark::Rnn.model(), 1)
+            .unwrap();
         assert_eq!(ev, direct_ev);
     }
 
     #[test]
     fn bandwidth_splits_layer_entries() {
-        let model = Benchmark::Rnn.model();
-        let opts = SimOptions::default();
         let cache = LayerPerfCache::default();
         let narrow = ArchConfig::isca_45nm().with_bandwidth(32);
         let wide = ArchConfig::isca_45nm().with_bandwidth(512);
-        let slow = run_cached(&AnalyticBackend, &model, &narrow, 16, &opts, &cache).unwrap();
-        let fast = run_cached(&AnalyticBackend, &model, &wide, 16, &opts, &cache).unwrap();
+        let slow = run(&AnalyticBackend, Benchmark::Rnn, &narrow, 16, &cache);
+        let fast = run(&AnalyticBackend, Benchmark::Rnn, &wide, 16, &cache);
         assert!(
             slow.total_cycles() > fast.total_cycles(),
             "a shared entry across bandwidths would flatten Figure 15"

@@ -53,17 +53,12 @@ pub use accelerator::BitFusionSim;
 pub use backend::{AnalyticBackend, SimBackend, BACKEND_CYCLE_TOLERANCE};
 pub use engine::{energy_for_layer, evaluate_layer, DeratedRate, SimOptions};
 pub use event::EventBackend;
-#[doc(hidden)]
-pub use event::evaluate_layer_naive;
 pub use layer_cache::{
     eval_context, evaluate_layer_cached, plan_layer_sharing, run_plan_cached, LayerPerfCache,
 };
 pub use stats::{BufferOccupancy, LayerPerf, PerfReport, StallBreakdown};
 pub use dse::{
-    explore, explore_with_cache, explore_with_caches, ArchSummary, DsePoint, DseResult, DseSpec,
-    InfeasiblePoint, PointError, QuantSpeedup, QuantSummary,
+    explore, explore_with_caches, ArchSummary, DsePoint, DseResult, DseSpec, InfeasiblePoint,
+    PointError, QuantSpeedup, QuantSummary,
 };
-pub use sweep::{
-    bandwidth_sweep, bandwidth_sweep_cached, bandwidth_sweep_tiered, bandwidth_sweep_with,
-    batch_sweep, batch_sweep_cached, batch_sweep_tiered, batch_sweep_with, Sweep, SweepPoint,
-};
+pub use sweep::{bandwidth_sweep, batch_sweep, Sweep, SweepPoint};

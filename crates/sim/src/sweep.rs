@@ -1,6 +1,6 @@
 //! Reusable parameter sweeps: the bandwidth (Figure 15) and batch
 //! (Figure 16) sensitivity studies as library functions, shared by the
-//! bench harnesses, the CLI, and downstream users.
+//! session facade and downstream users.
 //!
 //! Both sweeps are thin views over the design-space exploration engine
 //! ([`crate::dse`]): each builds a one-axis [`DseSpec`] and projects the
@@ -8,11 +8,10 @@
 //! engine's compile memoization for free — tiling does not depend on
 //! bandwidth, so the whole axis shares a single compilation.
 //!
-//! Every sweep is generic over the [`SimBackend`]; the plain functions run
-//! the cheap [`AnalyticBackend`] (a sweep multiplies simulation count by
-//! its point count), and the `*_with` variants accept any backend — e.g.
-//! the trace-driven [`EventBackend`](crate::EventBackend) for a
-//! high-fidelity pass over the interesting points.
+//! Every sweep is generic over the [`SimBackend`] — the cheap
+//! [`AnalyticBackend`](crate::AnalyticBackend) or the trace-driven
+//! [`EventBackend`](crate::EventBackend) — and runs through caller-owned
+//! caches of both tiers.
 
 use bitfusion_compiler::ArtifactCache;
 use bitfusion_core::arch::ArchConfig;
@@ -20,7 +19,7 @@ use bitfusion_core::grid::ArchGrid;
 use bitfusion_dnn::model::Model;
 use bitfusion_dnn::quantspec::QuantSpec;
 
-use crate::backend::{AnalyticBackend, SimBackend};
+use crate::backend::SimBackend;
 use crate::dse::{explore_with_caches, DseSpec, PointError};
 use crate::engine::SimOptions;
 use crate::layer_cache::LayerPerfCache;
@@ -135,67 +134,12 @@ fn sweep_view<B: SimBackend + Sync, T>(
 }
 
 /// Sweeps off-chip bandwidth (bits/cycle) at a fixed batch size (Figure 15)
-/// on an explicit backend.
-///
-/// # Errors
-///
-/// Propagates compilation failures, and rejects invalid swept
-/// configurations (e.g. a zero bandwidth) as
-/// [`CompileError::InvalidArch`](bitfusion_compiler::CompileError).
-pub fn bandwidth_sweep_with<B: SimBackend + Sync>(
-    backend: &B,
-    base_arch: &ArchConfig,
-    model: &Model,
-    batch: u64,
-    bandwidths: &[u32],
-) -> Result<Sweep<u32>, bitfusion_compiler::CompileError> {
-    bandwidth_sweep_cached(
-        backend,
-        base_arch,
-        model,
-        batch,
-        bandwidths,
-        SimOptions::default(),
-        &ArtifactCache::default(),
-    )
-}
-
-/// [`bandwidth_sweep_with`] with explicit calibration options and a shared
-/// artifact cache, evaluating through a private layer cache — see
-/// [`bandwidth_sweep_tiered`] for the two-tier (session-owned) variant.
-///
-/// # Errors
-///
-/// Propagates compilation failures, and rejects invalid swept
-/// configurations (e.g. a zero bandwidth) as
-/// [`CompileError::InvalidArch`](bitfusion_compiler::CompileError).
-pub fn bandwidth_sweep_cached<B: SimBackend + Sync>(
-    backend: &B,
-    base_arch: &ArchConfig,
-    model: &Model,
-    batch: u64,
-    bandwidths: &[u32],
-    options: SimOptions,
-    cache: &ArtifactCache,
-) -> Result<Sweep<u32>, bitfusion_compiler::CompileError> {
-    bandwidth_sweep_tiered(
-        backend,
-        base_arch,
-        model,
-        batch,
-        bandwidths,
-        options,
-        cache,
-        &LayerPerfCache::default(),
-    )
-}
-
-/// [`bandwidth_sweep_cached`] with both cache tiers caller-owned — the
-/// session facade's path. The whole axis resolves to one artifact key
-/// (tiling ignores bandwidth), so a warm cache makes the sweep
-/// compilation-free; per-layer evaluations resolve through `layer_cache`
-/// (bandwidth *is* part of the layer key, so each swept value evaluates
-/// its own layers — sharing comes from repeated shapes and warm sessions).
+/// on `backend`, through caller-owned caches of both tiers. The whole axis
+/// resolves to one artifact key (tiling ignores bandwidth), so a warm
+/// `cache` makes the sweep compilation-free; per-layer evaluations resolve
+/// through `layer_cache` (bandwidth *is* part of the layer key, so each
+/// swept value evaluates its own layers — sharing comes from repeated
+/// shapes and warm caches).
 ///
 /// # Errors
 ///
@@ -203,7 +147,7 @@ pub fn bandwidth_sweep_cached<B: SimBackend + Sync>(
 /// configurations (e.g. a zero bandwidth) as
 /// [`CompileError::InvalidArch`](bitfusion_compiler::CompileError).
 #[allow(clippy::too_many_arguments)]
-pub fn bandwidth_sweep_tiered<B: SimBackend + Sync>(
+pub fn bandwidth_sweep<B: SimBackend + Sync>(
     backend: &B,
     base_arch: &ArchConfig,
     model: &Model,
@@ -228,75 +172,13 @@ pub fn bandwidth_sweep_tiered<B: SimBackend + Sync>(
     })
 }
 
-/// Sweeps off-chip bandwidth on the analytic backend (the fast default).
+/// Sweeps batch size at a fixed architecture (Figure 16) on `backend`,
+/// through caller-owned caches of both tiers.
 ///
 /// # Errors
 ///
 /// Propagates compilation failures.
-pub fn bandwidth_sweep(
-    base_arch: &ArchConfig,
-    model: &Model,
-    batch: u64,
-    bandwidths: &[u32],
-) -> Result<Sweep<u32>, bitfusion_compiler::CompileError> {
-    bandwidth_sweep_with(&AnalyticBackend, base_arch, model, batch, bandwidths)
-}
-
-/// Sweeps batch size at a fixed architecture (Figure 16) on an explicit
-/// backend.
-///
-/// # Errors
-///
-/// Propagates compilation failures.
-pub fn batch_sweep_with<B: SimBackend + Sync>(
-    backend: &B,
-    arch: &ArchConfig,
-    model: &Model,
-    batches: &[u64],
-) -> Result<Sweep<u64>, bitfusion_compiler::CompileError> {
-    batch_sweep_cached(
-        backend,
-        arch,
-        model,
-        batches,
-        SimOptions::default(),
-        &ArtifactCache::default(),
-    )
-}
-
-/// [`batch_sweep_with`] with explicit calibration options and a shared
-/// artifact cache, evaluating through a private layer cache — see
-/// [`batch_sweep_tiered`] for the two-tier (session-owned) variant.
-///
-/// # Errors
-///
-/// Propagates compilation failures.
-pub fn batch_sweep_cached<B: SimBackend + Sync>(
-    backend: &B,
-    arch: &ArchConfig,
-    model: &Model,
-    batches: &[u64],
-    options: SimOptions,
-    cache: &ArtifactCache,
-) -> Result<Sweep<u64>, bitfusion_compiler::CompileError> {
-    batch_sweep_tiered(
-        backend,
-        arch,
-        model,
-        batches,
-        options,
-        cache,
-        &LayerPerfCache::default(),
-    )
-}
-
-/// [`batch_sweep_cached`] with both cache tiers caller-owned — the session
-/// facade's path.
-///
-/// # Errors
-///
-/// Propagates compilation failures.
-pub fn batch_sweep_tiered<B: SimBackend + Sync>(
+pub fn batch_sweep<B: SimBackend + Sync>(
     backend: &B,
     arch: &ArchConfig,
     model: &Model,
@@ -315,29 +197,47 @@ pub fn batch_sweep_tiered<B: SimBackend + Sync>(
     sweep_view(backend, &spec, cache, layer_cache, |p| p.batch)
 }
 
-/// Sweeps batch size on the analytic backend (the fast default).
-///
-/// # Errors
-///
-/// Propagates compilation failures.
-pub fn batch_sweep(
-    arch: &ArchConfig,
-    model: &Model,
-    batches: &[u64],
-) -> Result<Sweep<u64>, bitfusion_compiler::CompileError> {
-    batch_sweep_with(&AnalyticBackend, arch, model, batches)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::AnalyticBackend;
+    use crate::event::EventBackend;
     use bitfusion_dnn::zoo::Benchmark;
+
+    fn bandwidths<B: SimBackend + Sync>(
+        backend: &B,
+        benchmark: Benchmark,
+        batch: u64,
+        bws: &[u32],
+    ) -> Result<Sweep<u32>, bitfusion_compiler::CompileError> {
+        bandwidth_sweep(
+            backend,
+            &ArchConfig::isca_45nm(),
+            &benchmark.model(),
+            batch,
+            bws,
+            SimOptions::default(),
+            &ArtifactCache::default(),
+            &LayerPerfCache::default(),
+        )
+    }
+
+    fn batches(benchmark: Benchmark, batches: &[u64]) -> Sweep<u64> {
+        batch_sweep(
+            &AnalyticBackend,
+            &ArchConfig::isca_45nm(),
+            &benchmark.model(),
+            batches,
+            SimOptions::default(),
+            &ArtifactCache::default(),
+            &LayerPerfCache::default(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn bandwidth_sweep_monotone() {
-        let arch = ArchConfig::isca_45nm();
-        let sweep =
-            bandwidth_sweep(&arch, &Benchmark::Rnn.model(), 16, &[32, 128, 512]).unwrap();
+        let sweep = bandwidths(&AnalyticBackend, Benchmark::Rnn, 16, &[32, 128, 512]).unwrap();
         let speedups = sweep.speedups_vs(128).expect("128 is swept");
         assert_eq!(speedups.len(), 3);
         assert!(speedups[0].1 < 1.0); // 32 b/cyc slower
@@ -347,16 +247,14 @@ mod tests {
 
     #[test]
     fn batch_sweep_per_input_improves() {
-        let arch = ArchConfig::isca_45nm();
-        let sweep = batch_sweep(&arch, &Benchmark::Lstm.model(), &[1, 16]).unwrap();
+        let sweep = batches(Benchmark::Lstm, &[1, 16]);
         let speedups = sweep.per_input_speedups_vs(1).expect("1 is swept");
         assert!(speedups[1].1 > 2.0, "{speedups:?}");
     }
 
     #[test]
     fn missing_baseline_is_none_not_a_panic() {
-        let arch = ArchConfig::isca_45nm();
-        let sweep = batch_sweep(&arch, &Benchmark::Lstm.model(), &[1, 4]).unwrap();
+        let sweep = batches(Benchmark::Lstm, &[1, 4]);
         assert!(sweep.speedups_vs(999).is_none());
         assert!(sweep.per_input_speedups_vs(999).is_none());
     }
@@ -364,16 +262,17 @@ mod tests {
     #[test]
     fn invalid_swept_bandwidth_is_an_error_not_a_panic() {
         use bitfusion_compiler::CompileError;
-        let arch = ArchConfig::isca_45nm();
-        let result = bandwidth_sweep(&arch, &Benchmark::Rnn.model(), 1, &[0, 128]);
-        assert!(matches!(result, Err(CompileError::InvalidArch(_))), "{result:?}");
+        let result = bandwidths(&AnalyticBackend, Benchmark::Rnn, 1, &[0, 128]);
+        assert!(
+            matches!(result, Err(CompileError::InvalidArch(_))),
+            "{result:?}"
+        );
     }
 
     #[test]
     fn sweep_points_follow_input_order() {
-        let arch = ArchConfig::isca_45nm();
         let bws = [512, 32, 128];
-        let sweep = bandwidth_sweep(&arch, &Benchmark::Lstm.model(), 4, &bws).unwrap();
+        let sweep = bandwidths(&AnalyticBackend, Benchmark::Lstm, 4, &bws).unwrap();
         let got: Vec<u32> = sweep.points.iter().map(|p| p.value).collect();
         assert_eq!(got, bws);
     }
@@ -385,33 +284,33 @@ mod tests {
         let cache = ArtifactCache::default();
         let layer_cache = LayerPerfCache::default();
         let opts = SimOptions::default();
-        let cold = bandwidth_sweep_tiered(
-            &AnalyticBackend,
-            &arch,
-            &model,
-            16,
-            &[64, 128],
-            opts,
-            &cache,
-            &layer_cache,
-        )
-        .unwrap();
+        let run = || {
+            bandwidth_sweep(
+                &AnalyticBackend,
+                &arch,
+                &model,
+                16,
+                &[64, 128],
+                opts,
+                &cache,
+                &layer_cache,
+            )
+            .unwrap()
+        };
+        let cold = run();
         assert!(cold.spec_layer_hits() > 0, "ResNet-18 repeats shapes");
         assert_eq!(layer_cache.stats().misses, cold.layer_unique);
         let misses_after_cold = layer_cache.stats().misses;
-        let warm = bandwidth_sweep_tiered(
-            &AnalyticBackend,
-            &arch,
-            &model,
-            16,
-            &[64, 128],
-            opts,
-            &cache,
-            &layer_cache,
-        )
-        .unwrap();
-        assert_eq!(layer_cache.stats().misses, misses_after_cold, "no re-evaluation");
-        assert_eq!(warm.layer_evals, cold.layer_evals, "counters are warmth-independent");
+        let warm = run();
+        assert_eq!(
+            layer_cache.stats().misses,
+            misses_after_cold,
+            "no re-evaluation"
+        );
+        assert_eq!(
+            warm.layer_evals, cold.layer_evals,
+            "counters are warmth-independent"
+        );
         assert_eq!(warm.layer_unique, cold.layer_unique);
         for (a, b) in cold.points.iter().zip(&warm.points) {
             assert_eq!(a.report, b.report, "warmth must never change bytes");
@@ -420,16 +319,7 @@ mod tests {
 
     #[test]
     fn event_backend_sweep_shows_the_same_sensitivity() {
-        use crate::event::EventBackend;
-        let arch = ArchConfig::isca_45nm();
-        let sweep = bandwidth_sweep_with(
-            &EventBackend,
-            &arch,
-            &Benchmark::Rnn.model(),
-            16,
-            &[32, 128, 512],
-        )
-        .unwrap();
+        let sweep = bandwidths(&EventBackend, Benchmark::Rnn, 16, &[32, 128, 512]).unwrap();
         let speedups = sweep.speedups_vs(128).expect("128 is swept");
         assert!(speedups[0].1 < 1.0, "{speedups:?}");
         assert!(speedups[2].1 > 1.0, "{speedups:?}");
