@@ -116,8 +116,9 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
 
 /// FNV-1a over the model's debug representation: layer names, shapes, and
 /// precisions all land in the stream, so any structural edit changes the
-/// fingerprint. Cheap relative to a tile search (microseconds vs
-/// milliseconds) and deterministic across runs.
+/// fingerprint. Deterministic across runs, but not cheap next to the
+/// compile it keys: formatting the model costs ~2–30 µs, while a whole-plan
+/// compile at batch 16 takes ~10–70 µs (LSTM to ResNet-18, release build).
 pub fn fingerprint(model: &Model) -> u64 {
     fnv1a(format!("{model:?}").bytes())
 }

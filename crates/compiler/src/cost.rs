@@ -4,10 +4,12 @@
 //! optimizations (§IV-B): given tile sizes and a tile-loop order, compute
 //! the off-chip bits moved per tensor. The compiler searches tilings to
 //! minimize this (Figure 12's `IC×` reduction in output traffic is exactly
-//! the reload-factor arithmetic below).
+//! the partial-sum spill arithmetic below). The six orders have only three
+//! distinct costs, so [`class_traffic`] costs a tile once per class and
+//! [`traffic`] looks one order up in it.
 
 use crate::gemm::GemmLayer;
-use crate::tiling::{LoopOrder, TileDim, TileSizes};
+use crate::tiling::{LoopOrder, TileSizes};
 
 /// Off-chip traffic of one tiled GEMM, in bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,34 +46,37 @@ fn trips(dim: u64, tile: u64) -> u64 {
     dim.div_ceil(tile)
 }
 
-/// Reload factor of a tensor whose indices are `S`: the product of tile-loop
-/// trip counts from the outermost loop down to (and including) the deepest
-/// loop in `S`. Loops deeper than every `S` loop reuse the tile in place.
-fn reload_factor(order: LoopOrder, indexed_by: &[TileDim], t: [u64; 3]) -> u64 {
-    let seq = order.sequence();
-    let deepest = seq
-        .iter()
-        .rposition(|d| indexed_by.contains(d))
-        .expect("tensor depends on at least one dimension");
-    seq[..=deepest]
-        .iter()
-        .map(|d| match d {
-            TileDim::M => t[0],
-            TileDim::K => t[1],
-            TileDim::N => t[2],
-        })
-        .product()
+/// One order of each cost class, in [`LoopOrder::ALL`] priority: entry `i`
+/// of [`class_traffic`] is the traffic of `CLASS_ORDERS[i]`.
+///
+/// A tensor is reloaded once per iteration of every loop outside its
+/// deepest indexing loop, and partial sums spill when `k` sits outside the
+/// deepest output loop. Under that rule the six orders fall into three
+/// classes: `Nmk ≡ Mnk` (weights ×tn, inputs ×tm, no spill), `Nkm ≡ Knm`
+/// (weights ×tn, inputs once, spill) and `Mkn ≡ Kmn` (weights once, inputs
+/// ×tm, spill). Depthwise inputs are indexed by all three dimensions, so
+/// they load once under every order.
+pub const CLASS_ORDERS: [LoopOrder; 3] = [LoopOrder::Nmk, LoopOrder::Nkm, LoopOrder::Mkn];
+
+/// Index of `order`'s cost class in [`CLASS_ORDERS`].
+const fn class_of(order: LoopOrder) -> usize {
+    match order {
+        LoopOrder::Nmk | LoopOrder::Mnk => 0,
+        LoopOrder::Nkm | LoopOrder::Knm => 1,
+        LoopOrder::Mkn | LoopOrder::Kmn => 2,
+    }
 }
 
-/// Computes the off-chip traffic of a tiled GEMM.
-pub fn traffic(layer: &GemmLayer, tiles: TileSizes, order: LoopOrder) -> Traffic {
+/// Computes the off-chip traffic of a tiled GEMM under each cost class, in
+/// [`CLASS_ORDERS`] order. The order-independent terms (trip counts,
+/// padding, per-tensor base bits, output bits, spill) are computed once.
+pub fn class_traffic(layer: &GemmLayer, tiles: TileSizes) -> [Traffic; 3] {
     let s = layer.shape;
-    let t = [
+    let (tm, tk, tn) = (
         trips(s.m, tiles.m),
         trips(s.k, tiles.k),
         trips(s.n, tiles.n),
-    ];
-    let (tm, tk, tn) = (t[0], t[1], t[2]);
+    );
 
     // DMAs move whole tiles, so dimensions that do not divide evenly pad to
     // the tile boundary — charging that padding here steers the search away
@@ -82,47 +87,34 @@ pub fn traffic(layer: &GemmLayer, tiles: TileSizes, order: LoopOrder) -> Traffic
     let pad_k = pad(s.k, tk, tiles.k);
     let pad_n = pad(s.n, tn, tiles.n);
 
-    // Weights [m, k]: each (m,k) tile holds m_t*k_t*w_bits; loaded
-    // reload/(tm*tk) times over.
-    let w_loads = reload_factor(order, &[TileDim::M, TileDim::K], t);
-    let weight_bits = (layer.weight_elems as f64
-        * layer.pair.weight.bits() as f64
-        * (w_loads / (tm * tk)).max(1) as f64
-        * pad_m
-        * pad_k) as u64;
+    // Weights [m, k]: each (m,k) tile holds m_t*k_t*w_bits; the whole
+    // tensor is reloaded once per n tile when n is outside the deepest
+    // (m, k) loop.
+    let w0 = layer.weight_elems as f64 * layer.pair.weight.bits() as f64;
+    let weight_bits = |reloads: u64| (w0 * reloads as f64 * pad_m * pad_k) as u64;
 
     // Inputs: charged on unique elements per full traversal (window reuse
     // is buffered on chip; see `GemmLayer::unique_input_elems`). An
-    // ordinary GEMM shares one [k, n] input panel across all output rows;
+    // ordinary GEMM shares one [k, n] input panel across all output rows,
+    // reloaded once per m tile when m is outside the deepest (k, n) loop;
     // a depthwise layer's rows each read their *own* channel's window, so
     // its input tensor is indexed by every tile dimension — each (m, k, n)
     // tile touches distinct inputs, loaded exactly once per traversal but
     // padded along m as well.
-    let (i_indexed, i_trips, i_pad): (&[TileDim], u64, f64) = if layer.depthwise {
-        (&[TileDim::M, TileDim::K, TileDim::N], tm * tk * tn, pad_m)
+    let (m_reloads, i_pad) = if layer.depthwise {
+        (1, pad_m)
     } else {
-        (&[TileDim::K, TileDim::N], tk * tn, 1.0)
+        (tm, 1.0)
     };
-    let i_loads = reload_factor(order, i_indexed, t);
-    let input_bits = (layer.unique_input_elems as f64
-        * layer.pair.input.bits() as f64
-        * (i_loads / i_trips).max(1) as f64
-        * pad_k
-        * pad_n
-        * i_pad) as u64;
+    let i0 = layer.unique_input_elems as f64 * layer.pair.input.bits() as f64;
+    let input_bits = |reloads: u64| (i0 * reloads as f64 * pad_k * pad_n * i_pad) as u64;
 
     // Outputs [m, n]: stored once at the requantized width; spilled as
     // 32-bit partials whenever the k loop is outside the deepest (m, n)
     // loop, i.e. the same output tile is revisited tk times non-adjacently.
     let output_bits =
         (layer.output_elems as f64 * layer.output_bits as f64 * pad_m * pad_n) as u64;
-    let seq = order.sequence();
-    let k_pos = seq.iter().position(|d| *d == TileDim::K).expect("k in order");
-    let mn_deepest = seq
-        .iter()
-        .rposition(|d| matches!(d, TileDim::M | TileDim::N))
-        .expect("m or n in order");
-    let spill_bits = if k_pos < mn_deepest && tk > 1 {
+    let spill_bits = if tk > 1 {
         // One 32-bit load + store of the partial tile per k visit (the
         // emitted blocks reload/flush unconditionally; the final visit's
         // store doubles as the output store).
@@ -131,19 +123,167 @@ pub fn traffic(layer: &GemmLayer, tiles: TileSizes, order: LoopOrder) -> Traffic
         0
     };
 
-    Traffic {
+    let w_per_n = weight_bits(tn);
+    let i_per_m = input_bits(m_reloads);
+    let traffic = |weight_bits, input_bits, spill_bits| Traffic {
         weight_bits,
         input_bits,
         output_bits,
         spill_bits,
-    }
+    };
+    [
+        traffic(w_per_n, i_per_m, 0),
+        traffic(w_per_n, input_bits(1), spill_bits),
+        traffic(weight_bits(1), i_per_m, spill_bits),
+    ]
+}
+
+/// Computes the off-chip traffic of a tiled GEMM under one loop order.
+pub fn traffic(layer: &GemmLayer, tiles: TileSizes, order: LoopOrder) -> Traffic {
+    class_traffic(layer, tiles)[class_of(order)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::GemmShape;
+    use crate::tiling::TileDim;
     use bitfusion_core::bitwidth::PairPrecision;
+    use proptest::prelude::*;
+
+    /// Reload factor of a tensor whose indices are `S`: the product of
+    /// tile-loop trip counts from the outermost loop down to (and including)
+    /// the deepest loop in `S`. Loops deeper than every `S` loop reuse the
+    /// tile in place.
+    fn reload_factor(order: LoopOrder, indexed_by: &[TileDim], t: [u64; 3]) -> u64 {
+        let seq = order.sequence();
+        let deepest = seq
+            .iter()
+            .rposition(|d| indexed_by.contains(d))
+            .expect("tensor depends on at least one dimension");
+        seq[..=deepest]
+            .iter()
+            .map(|d| match d {
+                TileDim::M => t[0],
+                TileDim::K => t[1],
+                TileDim::N => t[2],
+            })
+            .product()
+    }
+
+    /// The generic per-order traffic model, derived from each order's loop
+    /// sequence: the reference that [`class_traffic`]'s three classes must
+    /// reproduce for all six orders.
+    fn reference_traffic(layer: &GemmLayer, tiles: TileSizes, order: LoopOrder) -> Traffic {
+        let s = layer.shape;
+        let t = [
+            trips(s.m, tiles.m),
+            trips(s.k, tiles.k),
+            trips(s.n, tiles.n),
+        ];
+        let (tm, tk, tn) = (t[0], t[1], t[2]);
+        let pad = |dim: u64, trip: u64, tile: u64| (trip * tile) as f64 / dim as f64;
+        let pad_m = pad(s.m, tm, tiles.m);
+        let pad_k = pad(s.k, tk, tiles.k);
+        let pad_n = pad(s.n, tn, tiles.n);
+
+        let w_loads = reload_factor(order, &[TileDim::M, TileDim::K], t);
+        let weight_bits = (layer.weight_elems as f64
+            * layer.pair.weight.bits() as f64
+            * (w_loads / (tm * tk)).max(1) as f64
+            * pad_m
+            * pad_k) as u64;
+
+        let (i_indexed, i_trips, i_pad): (&[TileDim], u64, f64) = if layer.depthwise {
+            (&[TileDim::M, TileDim::K, TileDim::N], tm * tk * tn, pad_m)
+        } else {
+            (&[TileDim::K, TileDim::N], tk * tn, 1.0)
+        };
+        let i_loads = reload_factor(order, i_indexed, t);
+        let input_bits = (layer.unique_input_elems as f64
+            * layer.pair.input.bits() as f64
+            * (i_loads / i_trips).max(1) as f64
+            * pad_k
+            * pad_n
+            * i_pad) as u64;
+
+        let output_bits =
+            (layer.output_elems as f64 * layer.output_bits as f64 * pad_m * pad_n) as u64;
+        let seq = order.sequence();
+        let k_pos = seq
+            .iter()
+            .position(|d| *d == TileDim::K)
+            .expect("k in order");
+        let mn_deepest = seq
+            .iter()
+            .rposition(|d| matches!(d, TileDim::M | TileDim::N))
+            .expect("m or n in order");
+        let spill_bits = if k_pos < mn_deepest && tk > 1 {
+            2 * tk * layer.output_elems * 32
+        } else {
+            0
+        };
+
+        Traffic {
+            weight_bits,
+            input_bits,
+            output_bits,
+            spill_bits,
+        }
+    }
+
+    fn arb_layer_and_tiles() -> impl Strategy<Value = (GemmLayer, TileSizes)> {
+        let bits = || prop::sample::select(vec![1u32, 2, 4, 8, 16]);
+        (
+            1u64..3000,
+            1u64..20_000,
+            1u64..5000,
+            bits(),
+            bits(),
+            bits(),
+            any::<bool>(),
+        )
+            .prop_flat_map(move |(m, k, n, i_bits, w_bits, o_bits, depthwise)| {
+                let layer = GemmLayer {
+                    shape: GemmShape { m, k, n },
+                    pair: PairPrecision::from_bits(i_bits, w_bits).unwrap(),
+                    unique_input_elems: if depthwise { m * k * n / 3 + 1 } else { k * n },
+                    output_elems: m * n,
+                    weight_elems: m * k,
+                    output_bits: o_bits,
+                    depthwise,
+                };
+                // Half the draws take the whole reduction (tk == 1, where
+                // no order spills).
+                (Just(layer), 1..=m, 1..=k, 1..=n, any::<bool>())
+            })
+            .prop_map(|(layer, m, k, n, whole_k)| {
+                let k = if whole_k { layer.shape.k } else { k };
+                (layer, TileSizes { m, k, n })
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn class_lookup_matches_generic_reload_model((layer, tiles) in arb_layer_and_tiles()) {
+            for order in LoopOrder::ALL {
+                prop_assert_eq!(
+                    traffic(&layer, tiles, order),
+                    reference_traffic(&layer, tiles, order),
+                    "{:?} {:?} {:?}",
+                    order,
+                    layer,
+                    tiles
+                );
+            }
+            let classes = class_traffic(&layer, tiles);
+            for (order, t) in CLASS_ORDERS.into_iter().zip(classes) {
+                prop_assert_eq!(t, reference_traffic(&layer, tiles, order));
+            }
+        }
+    }
 
     fn layer(m: u64, k: u64, n: u64, i_bits: u32, w_bits: u32) -> GemmLayer {
         GemmLayer {

@@ -10,7 +10,7 @@
 
 use bitfusion_core::arch::ArchConfig;
 
-use crate::cost::{traffic, Traffic};
+use crate::cost::{class_traffic, Traffic, CLASS_ORDERS};
 use crate::error::CompileError;
 use crate::gemm::GemmLayer;
 
@@ -28,19 +28,29 @@ pub enum TileDim {
 /// Order of the three tile loops, outermost first. The name lists dimensions
 /// outer→inner: `Nmk` nests `n { m { k } }` — the output-stationary order of
 /// Figure 12(b).
+///
+/// Under the [`cost`](crate::cost) model the six orders have only three
+/// distinct costs (see [`CLASS_ORDERS`]):
+/// `Nmk ≡ Mnk`, `Nkm ≡ Knm` and `Mkn ≡ Kmn`. The first of each pair in
+/// [`LoopOrder::ALL`] wins the tie, so [`choose_tiling`] never picks
+/// `Mnk`, `Knm` or `Kmn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopOrder {
-    /// n, m, k — output-stationary (k innermost).
+    /// n, m, k — output-stationary (k innermost); weights reload once per
+    /// n tile, the input panel once per m tile.
     Nmk,
-    /// n, k, m.
+    /// n, k, m — input-stationary (m innermost); weights reload once per
+    /// n tile, partial sums spill across k tiles.
     Nkm,
-    /// m, n, k — output-stationary, weights held across n.
+    /// m, n, k — output-stationary; costs the same as `Nmk` (weights also
+    /// reload once per n tile).
     Mnk,
-    /// m, k, n — weight-stationary (n innermost).
+    /// m, k, n — weight-stationary (n innermost); the input panel reloads
+    /// once per m tile, partial sums spill across k tiles.
     Mkn,
-    /// k, m, n — input/psum streaming.
+    /// k, m, n — weight-stationary over n; costs the same as `Mkn`.
     Kmn,
-    /// k, n, m.
+    /// k, n, m — input-stationary over m; costs the same as `Nkm`.
     Knm,
 }
 
@@ -139,15 +149,12 @@ pub fn fits(layer: &GemmLayer, tiles: TileSizes, arch: &ArchConfig, residual_bit
         && o_bits <= (arch.obuf_bytes as u64) * 8
 }
 
-fn candidates(dim: u64, quantum: u64) -> Vec<u64> {
-    let mut c = Vec::new();
-    let mut v = quantum.max(1);
-    while v < dim {
-        c.push(v);
-        v *= 2;
-    }
-    c.push(dim);
-    c
+/// Tile candidates along one dimension, ascending: powers of two scaled
+/// from `quantum`, then the full dimension.
+fn candidates(dim: u64, quantum: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(quantum.max(1)), |v| v.checked_mul(2))
+        .take_while(move |&v| v < dim)
+        .chain(std::iter::once(dim))
 }
 
 /// Searches tile sizes and loop orders for the minimum-traffic plan that
@@ -159,6 +166,20 @@ fn candidates(dim: u64, quantum: u64) -> Vec<u64> {
 /// second input tensor of residual-add groups) so the chosen tiles leave
 /// room for both streams in the double-buffered input scratchpad; pass 0
 /// for residual-free groups.
+///
+/// The plan is the minimum over every fitting tile and all six orders
+/// under this tie-break:
+///
+/// 1. lower total traffic bits wins;
+/// 2. then the larger tile volume `m_t·k_t·n_t`;
+/// 3. then the earlier candidate: tiles scanned `m` → `k` → `n`, each
+///    ascending, and orders in [`LoopOrder::ALL`] order.
+///
+/// Two exact facts keep the search cheap without changing that answer.
+/// [`fits`] only turns false as a tile dimension grows, so each loop stops
+/// at its first tile that does not fit. And the six orders share three
+/// costs ([`class_traffic`]), so each tile is costed once per class, with
+/// the class's first order in `ALL` standing for it.
 ///
 /// # Errors
 ///
@@ -173,15 +194,21 @@ pub fn choose_tiling(
     let cols = arch.cols as u64;
     let s = layer.shape;
     let mut best: Option<TilePlan> = None;
-    for &m_t in &candidates(s.m, cols) {
-        for &k_t in &candidates(s.k, lanes) {
-            for &n_t in &candidates(s.n, 1) {
+    'm: for m_t in candidates(s.m, cols) {
+        for (ki, k_t) in candidates(s.k, lanes).enumerate() {
+            for (ni, n_t) in candidates(s.n, 1).enumerate() {
                 let tiles = TileSizes { m: m_t, k: k_t, n: n_t };
                 if !fits(layer, tiles, arch, residual_bits) {
-                    continue;
+                    // Every larger tile along a dimension misses too: stop
+                    // n here, k if this was its smallest n, and m if this
+                    // was also its smallest k.
+                    match (ki, ni) {
+                        (0, 0) => break 'm,
+                        (_, 0) => continue 'm,
+                        _ => break,
+                    }
                 }
-                for order in LoopOrder::ALL {
-                    let t = traffic(layer, tiles, order);
+                for (order, t) in CLASS_ORDERS.into_iter().zip(class_traffic(layer, tiles)) {
                     let better = match &best {
                         None => true,
                         Some(b) => {
@@ -212,8 +239,231 @@ pub fn choose_tiling(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::traffic;
+    use crate::fuse::PostOp;
     use crate::gemm::GemmShape;
+    use crate::plan::compile;
     use bitfusion_core::bitwidth::PairPrecision;
+    use bitfusion_dnn::{Benchmark, QuantSpec};
+    use proptest::prelude::*;
+
+    /// The exhaustive search, the oracle [`choose_tiling`] must reproduce:
+    /// every candidate tile, every order, each tile checked with [`fits`]
+    /// and costed with [`traffic`].
+    fn choose_tiling_exhaustive(
+        layer: &GemmLayer,
+        arch: &ArchConfig,
+        residual_bits: u64,
+    ) -> Result<TilePlan, CompileError> {
+        let lanes = (arch.rows as u64) * layer.pair.fused_pes_per_unit() as u64;
+        let cols = arch.cols as u64;
+        let s = layer.shape;
+        let mut best: Option<TilePlan> = None;
+        for m_t in candidates(s.m, cols) {
+            for k_t in candidates(s.k, lanes) {
+                for n_t in candidates(s.n, 1) {
+                    let tiles = TileSizes { m: m_t, k: k_t, n: n_t };
+                    if !fits(layer, tiles, arch, residual_bits) {
+                        continue;
+                    }
+                    for order in LoopOrder::ALL {
+                        let t = traffic(layer, tiles, order);
+                        let better = match &best {
+                            None => true,
+                            Some(b) => {
+                                t.total_bits() < b.traffic.total_bits()
+                                    || (t.total_bits() == b.traffic.total_bits()
+                                        && (tiles.m * tiles.k * tiles.n)
+                                            > (b.tiles.m * b.tiles.k * b.tiles.n))
+                            }
+                        };
+                        if better {
+                            best = Some(TilePlan {
+                                tiles,
+                                order,
+                                traffic: t,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        best.ok_or(CompileError::NoFeasibleTiling {
+            m: s.m,
+            k: s.k,
+            n: s.n,
+        })
+    }
+
+    /// A random GEMM (dense or depthwise, with a residual stream in half
+    /// the draws) and a random array geometry. Buffers are drawn
+    /// log-uniformly from 64 B to 512 KB, so some cases have no feasible
+    /// tiling.
+    fn arb_case() -> impl Strategy<Value = (GemmLayer, u64, ArchConfig)> {
+        let bits = || prop::sample::select(vec![1u32, 2, 4, 8, 16]);
+        let bytes = || {
+            (6u32..19, any::<u64>()).prop_map(|(e, r)| (1usize << e) + (r % (1u64 << e)) as usize)
+        };
+        let gemm = (
+            1u64..4096,
+            1u64..20_000,
+            1u64..4096,
+            bits(),
+            bits(),
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(|(m, k, n, i_bits, w_bits, depthwise, residual)| {
+                // A depthwise layer reduces over one channel's window only.
+                let k = if depthwise { 1 + k % 49 } else { k };
+                let layer = GemmLayer {
+                    shape: GemmShape { m, k, n },
+                    pair: PairPrecision::from_bits(i_bits, w_bits).expect("supported"),
+                    unique_input_elems: if depthwise { m * n } else { k * n },
+                    output_elems: m * n,
+                    weight_elems: m * k,
+                    output_bits: i_bits,
+                    depthwise,
+                };
+                let residual_bits = if residual { m * n * i_bits as u64 } else { 0 };
+                (layer, residual_bits)
+            });
+        let arch = (1usize..=64, 1usize..=64, bytes(), bytes(), bytes()).prop_map(
+            |(rows, cols, ibuf_bytes, wbuf_bytes, obuf_bytes)| ArchConfig {
+                rows,
+                cols,
+                ibuf_bytes,
+                wbuf_bytes,
+                obuf_bytes,
+                ..ArchConfig::isca_45nm()
+            },
+        );
+        (gemm, arch).prop_map(|((layer, residual_bits), arch)| (layer, residual_bits, arch))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn search_matches_exhaustive_oracle((layer, residual_bits, arch) in arb_case()) {
+            prop_assert_eq!(
+                choose_tiling(&layer, &arch, residual_bits),
+                choose_tiling_exhaustive(&layer, &arch, residual_bits)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200_000))]
+
+        /// The wide random sweep; run it in release with
+        /// `cargo test --release -p bitfusion-compiler --lib -- --ignored`.
+        #[test]
+        #[ignore]
+        fn search_matches_exhaustive_oracle_wide((layer, residual_bits, arch) in arb_case()) {
+            prop_assert_eq!(
+                choose_tiling(&layer, &arch, residual_bits),
+                choose_tiling_exhaustive(&layer, &arch, residual_bits)
+            );
+        }
+    }
+
+    /// Every fused group of every zoo network under each quantization at
+    /// each batch, as `compile` sees it: the GEMM and its residual bits.
+    fn zoo_gemms(quants: &[QuantSpec], batches: &[u64]) -> Vec<(GemmLayer, u64)> {
+        let mut gemms = Vec::new();
+        for bench in Benchmark::ALL {
+            for quant in quants {
+                let model = bench.model_with(quant).expect("zoo quantizes");
+                for &batch in batches {
+                    let plan = compile(&model, &ArchConfig::isca_45nm(), batch).expect("compiles");
+                    gemms.extend(
+                        plan.layers.iter().map(|l| {
+                            (l.gemm, l.postops.iter().map(PostOp::extra_input_bits).sum())
+                        }),
+                    );
+                }
+            }
+        }
+        gemms
+    }
+
+    /// Asserts the search and the oracle agree on every GEMM at every
+    /// geometry; returns the number of cases compared.
+    fn assert_zoo_matches_oracle(gemms: &[(GemmLayer, u64)], archs: &[ArchConfig]) -> usize {
+        for arch in archs {
+            for (layer, residual_bits) in gemms {
+                assert_eq!(
+                    choose_tiling(layer, arch, *residual_bits),
+                    choose_tiling_exhaustive(layer, arch, *residual_bits),
+                    "{layer:?} residual {residual_bits} on {arch:?}"
+                );
+            }
+        }
+        gemms.len() * archs.len()
+    }
+
+    fn geometry(
+        rows: usize,
+        cols: usize,
+        ibuf_kb: usize,
+        wbuf_kb: usize,
+        obuf_bytes: usize,
+    ) -> ArchConfig {
+        ArchConfig {
+            rows,
+            cols,
+            ibuf_bytes: ibuf_kb * 1024,
+            wbuf_bytes: wbuf_kb * 1024,
+            obuf_bytes,
+            ..ArchConfig::isca_45nm()
+        }
+    }
+
+    #[test]
+    fn zoo_search_matches_exhaustive_oracle() {
+        let quants = [QuantSpec::paper(), QuantSpec::uniform(8).unwrap()];
+        let gemms = zoo_gemms(&quants, &[1, 64]);
+        // 1 KB buffers: over a third of the layers cannot tile, and the
+        // errors must agree too.
+        let tiny = geometry(32, 16, 1, 1, 1024);
+        let archs = [
+            ArchConfig::isca_45nm(),
+            geometry(8, 8, 16, 32, 8 * 1024),
+            geometry(64, 32, 64, 128, 32 * 1024),
+            tiny.clone(),
+        ];
+        assert_zoo_matches_oracle(&gemms, &archs);
+        assert!(gemms.iter().any(|(l, r)| choose_tiling(l, &tiny, *r).is_err()));
+        assert!(gemms.iter().any(|(l, r)| choose_tiling(l, &tiny, *r).is_ok()));
+    }
+
+    /// The wide zoo sweep: every zoo network × {paper, uniform8, uniform16}
+    /// × 108 geometries × batches {1, 4, 16, 64, 256}. Run it in release
+    /// with `cargo test --release -p bitfusion-compiler --lib -- --ignored
+    /// --nocapture`; it prints the case count.
+    #[test]
+    #[ignore]
+    fn zoo_search_matches_exhaustive_oracle_wide() {
+        let quants = [
+            QuantSpec::paper(),
+            QuantSpec::uniform(8).unwrap(),
+            QuantSpec::uniform(16).unwrap(),
+        ];
+        let gemms = zoo_gemms(&quants, &[1, 4, 16, 64, 256]);
+        let mut archs = Vec::new();
+        for rows in [8, 16, 32, 64] {
+            for cols in [8, 16, 32] {
+                for ibuf_kb in [16, 32, 64] {
+                    for wbuf_kb in [32, 64, 128] {
+                        archs.push(geometry(rows, cols, ibuf_kb, wbuf_kb, 16 * 1024));
+                    }
+                }
+            }
+        }
+        let cases = assert_zoo_matches_oracle(&gemms, &archs);
+        println!("zoo oracle sweep: {cases} cases agree");
+    }
 
     fn layer(m: u64, k: u64, n: u64, i_bits: u32, w_bits: u32) -> GemmLayer {
         GemmLayer {

@@ -68,7 +68,9 @@ proptest! {
         let plan = choose_tiling(&layer, &arch, 0).expect("feasible for sane buffers");
         prop_assert!(fits(&layer, plan.tiles, &arch, 0));
         // Tiles never exceed the dimensions.
-        prop_assert!(plan.tiles.m <= layer.shape.m.max(plan.tiles.m.min(layer.shape.m)));
+        prop_assert!(plan.tiles.m <= layer.shape.m, "{:?} vs {:?}", plan.tiles, layer.shape);
+        prop_assert!(plan.tiles.k <= layer.shape.k, "{:?} vs {:?}", plan.tiles, layer.shape);
+        prop_assert!(plan.tiles.n <= layer.shape.n, "{:?} vs {:?}", plan.tiles, layer.shape);
         prop_assert!(plan.tiles.m >= 1 && plan.tiles.k >= 1 && plan.tiles.n >= 1);
     }
 
