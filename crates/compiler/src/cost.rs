@@ -12,7 +12,7 @@ use crate::gemm::GemmLayer;
 use crate::tiling::{LoopOrder, TileSizes};
 
 /// Off-chip traffic of one tiled GEMM, in bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Traffic {
     /// Weight bits loaded.
     pub weight_bits: u64,

@@ -13,7 +13,7 @@ use bitfusion_dnn::layer::Layer;
 use bitfusion_dnn::model::Model;
 
 /// A post-operation fused into a MAC layer's block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PostOp {
     /// Rectified linear activation on every output element.
     Relu,

@@ -28,7 +28,7 @@ impl GemmShape {
 }
 
 /// A layer lowered to GEMM form plus the memory-relevant element counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmLayer {
     /// GEMM dimensions (batch folded into `n`).
     pub shape: GemmShape,

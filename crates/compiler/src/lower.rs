@@ -240,7 +240,7 @@ pub fn lower_gemm(input: &LowerInput<'_>, arch: &ArchConfig) -> Result<Instructi
 /// the array. The trace-driven simulation backend uses these to convert a
 /// segment's compute-step count into systolic passes and fill/drain charges
 /// without re-deriving the tiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SegmentFacts {
     /// Tile iterations in the block (`tm × tk × tn`) — the expected number
     /// of DMA-carrying segments.
@@ -257,7 +257,7 @@ pub struct SegmentFacts {
 
 /// Analytic mapping facts the performance simulator consumes, derived from
 /// the same quantities the lowering used.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mapping {
     /// Total dynamic MAC `compute` steps.
     pub compute_steps: u64,

@@ -100,7 +100,7 @@ pub struct TileSizes {
 }
 
 /// A chosen tiling: sizes, order, and its modelled traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TilePlan {
     /// Tile sizes.
     pub tiles: TileSizes,

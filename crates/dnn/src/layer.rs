@@ -11,7 +11,7 @@ use bitfusion_core::bitwidth::PairPrecision;
 use bitfusion_core::postproc::PoolOp;
 
 /// A 2-D convolution layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Conv2d {
     /// Input channels.
     pub in_channels: usize,
@@ -80,7 +80,7 @@ impl Conv2d {
 /// that the compiler lowers it specially: its tiny per-output reduction
 /// (`R·S` instead of `R·S·C`) means inputs cannot be broadcast across the
 /// output-channel dimension of the systolic array.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DepthwiseConv2d {
     /// Channels (equal in and out; depthwise never mixes them).
     pub channels: usize,
@@ -138,7 +138,7 @@ impl DepthwiseConv2d {
 }
 
 /// A fully-connected (dense) layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Dense {
     /// Input features.
     pub in_features: usize,
@@ -161,7 +161,7 @@ impl Dense {
 }
 
 /// A 2-D pooling layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pool2d {
     /// Channels (unchanged by pooling).
     pub channels: usize,
@@ -222,7 +222,7 @@ impl CellKind {
 /// One recurrent layer, costed per timestep (language-model inference
 /// processes one token at a time, which is what makes these benchmarks
 /// bandwidth-bound in Figures 15/16).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Recurrent {
     /// The cell kind.
     pub cell: CellKind,
@@ -259,7 +259,7 @@ impl Recurrent {
 }
 
 /// An elementwise layer (residual additions, scaling).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Eltwise {
     /// Element count.
     pub elements: usize,
@@ -268,14 +268,14 @@ pub struct Eltwise {
 }
 
 /// A standalone activation layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ActivationLayer {
     /// Element count.
     pub elements: usize,
 }
 
 /// Any layer of a quantized DNN.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Layer {
     /// 2-D convolution.
     Conv2d(Conv2d),

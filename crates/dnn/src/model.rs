@@ -5,7 +5,7 @@ use std::fmt;
 use crate::layer::Layer;
 
 /// A named layer within a model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NamedLayer {
     /// Layer name (e.g. `conv1`, `fc6`).
     pub name: String,
@@ -24,7 +24,7 @@ pub struct NamedLayer {
 /// // Table II: AlexNet (2x-wide WRPN) performs ~2,678M multiply-adds.
 /// assert!((m.total_macs() as f64 - 2678e6).abs() / 2678e6 < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Model {
     /// Model name.
     pub name: String,

@@ -883,6 +883,11 @@ mod tests {
             cold.layer_evals,
             "{name}: every evaluation goes through the tier"
         );
+        // The counters match at any worker count, even when two workers
+        // race to evaluate one key.
+        let fresh = LayerPerfCache::default();
+        explore_with_caches(spec, &backend, 4, &ArtifactCache::default(), &fresh);
+        assert_eq!(fresh.stats(), cold_stats, "{name}: worker count");
         // Warm re-run: zero new evaluations, identical results and
         // identical spec-level counters.
         let warm = explore_with_caches(spec, &backend, 2, &cache, &layer_cache);
