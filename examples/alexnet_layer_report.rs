@@ -51,8 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eyeriss.energy.total_pj() / report.total_energy().total_pj()
     );
     println!(
-        "(the paper's Figure 13 reports 1.9x/1.5x against its own simulator; see\n\
-         EXPERIMENTS.md for the per-layer-class reconciliation)"
+        "(the paper's Figure 13 reports 1.9x/1.5x against its own simulator; the\n\
+         per-layer-class comparison is the `sec5b1` rows of FIDELITY.json, and\n\
+         DESIGN.md's substitution table explains the gap)"
     );
     Ok(())
 }
