@@ -45,6 +45,6 @@ pub use instruction::{
 };
 pub use program::SegmentProgram;
 pub use walker::{
-    dma_loops, for_each_segment, segments, summarize, walk, BlockSummary, BufferCounts,
-    ComputeCounts, DmaLoopFacts, Event, Segment,
+    for_each_segment, segments, summarize, walk, BlockSummary, BufferCounts, ComputeCounts, Event,
+    Segment,
 };

@@ -21,10 +21,8 @@
 //! backend consumes the segment stream to model double-buffered DMA/compute
 //! overlap without enumerating inner-loop iterations.
 
-use crate::block::{BodyItem, InstructionBlock, LoopNode, LoopTree};
-use crate::instruction::{
-    AddressSpace, ComputeFn, Instruction, LoopId, Scratchpad, MAX_LOOP_ID,
-};
+use crate::block::{BodyItem, InstructionBlock, LoopTree};
+use crate::instruction::{AddressSpace, ComputeFn, Instruction, Scratchpad, MAX_LOOP_ID};
 use crate::program::SegmentProgram;
 
 /// A dynamic operation produced by walking a block.
@@ -443,66 +441,6 @@ pub fn segments(block: &InstructionBlock) -> Vec<Segment> {
     out
 }
 
-/// Facts about one innermost DMA-issuing tile loop — the loops whose
-/// iterations the performance model double-buffers (see [`dma_loops`]).
-///
-/// Carries what the consumers actually use (identity and trip counts)
-/// instead of a deep clone of the loop body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DmaLoopFacts {
-    /// The loop's identifier.
-    pub id: LoopId,
-    /// The loop's own trip count.
-    pub iterations: u32,
-    /// Product of the enclosing loops' trip counts (how many times this
-    /// loop's full iteration space runs).
-    pub outer_trips: u64,
-}
-
-impl DmaLoopFacts {
-    /// Total tile iterations this loop contributes:
-    /// `iterations × outer_trips`.
-    pub fn total_iterations(&self) -> u64 {
-        self.iterations as u64 * self.outer_trips
-    }
-}
-
-/// Finds the innermost loops that directly issue DMA instructions — the tile
-/// loops whose iterations the performance model double-buffers — returning
-/// lightweight [`DmaLoopFacts`] rather than cloned subtrees.
-pub fn dma_loops(block: &InstructionBlock) -> Vec<DmaLoopFacts> {
-    let tree = block.loop_tree();
-    let mut found = Vec::new();
-    collect_dma_loops(&tree.body, 1, &mut found);
-    found
-}
-
-fn has_direct_dma(node: &LoopNode) -> bool {
-    node.body.iter().any(|item| {
-        matches!(
-            item,
-            BodyItem::Instr(Instruction::LdMem { .. }) | BodyItem::Instr(Instruction::StMem { .. })
-        )
-    })
-}
-
-fn collect_dma_loops(items: &[BodyItem], outer_trips: u64, found: &mut Vec<DmaLoopFacts>) {
-    for item in items {
-        if let BodyItem::Loop(node) = item {
-            // Recurse first: prefer the innermost DMA loop.
-            let before = found.len();
-            collect_dma_loops(&node.body, outer_trips * node.iterations as u64, found);
-            if found.len() == before && has_direct_dma(node) {
-                found.push(DmaLoopFacts {
-                    id: node.id,
-                    iterations: node.iterations,
-                    outer_trips,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,17 +519,6 @@ mod tests {
         assert_eq!(summary.dynamic_instructions, events);
         // DRAM totals: 3 tiles x 10 weights x 2 bits + 3 outputs x 8 bits.
         assert_eq!(summary.dram_bits(), 3 * 10 * 2 + 3 * 8);
-    }
-
-    #[test]
-    fn dma_loops_finds_tile_loop() {
-        let block = tiled_block();
-        let loops = dma_loops(&block);
-        assert_eq!(loops.len(), 1);
-        let facts = loops[0];
-        assert_eq!(facts.iterations, 3);
-        assert_eq!(facts.outer_trips, 1);
-        assert_eq!(facts.total_iterations(), 3);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! therefore one process-global `ArtifactCache` + `LayerPerfCache`, so a
 //! plan any client compiled is warm for all of them.
 //!
-//! Three server-level mechanisms sit between the socket and the session:
+//! Lines are framed by `serve::read_request`, the reader the stdin loop uses
+//! too. Two server-level mechanisms sit between the socket and the
+//! session:
 //!
 //! - **Admission** ([`bitfusion_sim::pool::Gate`]): at most `workers`
 //!   requests evaluate at once, at most `max_queue` wait FIFO behind
@@ -16,11 +18,6 @@
 //!   well-formed `{"reply":"error",...}` line immediately, never a
 //!   dropped connection, so a scripted client can always correlate
 //!   responses positionally.
-//! - **Coalescing** ([`coalesce::Coalescer`]): identical in-flight
-//!   requests (canonical wire bytes) evaluate once; followers receive
-//!   the leader's byte-identical response line. Sound because response
-//!   bytes are a pure function of request bytes (the determinism
-//!   contract).
 //! - **Observation** ([`histogram::LatencyHistogram`] + atomic
 //!   counters): the `stats` request — answered by the server itself,
 //!   bypassing admission so it stays live under overload — reports both
@@ -34,10 +31,9 @@
 //! threads finish their current request and close, and `run` returns
 //! after the drain.
 
-pub mod coalesce;
 pub mod histogram;
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -48,9 +44,8 @@ use std::time::{Duration, Instant};
 use bitfusion_sim::pool::{Admission, Gate};
 
 use crate::protocol::{CacheTierInfo, LatencyInfo, Request, Response, StatsReply};
-use crate::serve::clamp_nested_workers;
+use crate::serve::read_request;
 use crate::session::Session;
-use coalesce::{Coalescer, Joined};
 use histogram::LatencyHistogram;
 
 /// How often blocked reads wake to check the stop flag.
@@ -63,12 +58,6 @@ const ACCEPT_INTERVAL: Duration = Duration::from_millis(20);
 /// The message every load-shed request is answered with (pinned by
 /// tests and the DESIGN.md error-shape contract).
 pub const SHED_MESSAGE: &str = "server overloaded: admission queue full";
-
-/// The longest request line a connection accepts, its newline included.
-/// The largest zoo model document (ResNet-18) is about 4 KB; a longer
-/// line is answered with an error and the connection closed, so no client
-/// can make the server buffer without bound.
-pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -110,8 +99,6 @@ pub struct NetSummary {
     pub responses: u64,
     /// Responses that were `{"reply":"error",...}` (shed included).
     pub errors: u64,
-    /// Requests answered from an identical in-flight evaluation.
-    pub coalesced: u64,
 }
 
 /// A bound listening socket, ready for [`run`].
@@ -247,7 +234,6 @@ struct ServerState<'a> {
     session: &'a Session,
     handler: Handler<'a>,
     gate: Gate,
-    coalescer: Coalescer,
     histogram: LatencyHistogram,
     config: &'a NetConfig,
     connections_active: AtomicU64,
@@ -256,7 +242,6 @@ struct ServerState<'a> {
     ok: AtomicU64,
     errors: AtomicU64,
     shed: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl ServerState<'_> {
@@ -275,7 +260,7 @@ impl ServerState<'_> {
             ok: self.ok.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            coalesced: 0,
             queue_depth: self.gate.queue_depth() as u64,
             queue_capacity: self.gate.queue_capacity() as u64,
             in_flight: self.gate.in_flight() as u64,
@@ -292,16 +277,13 @@ impl ServerState<'_> {
         }
     }
 
-    /// Produces the response line for one request line, maintaining the
-    /// workload counters (server-level `stats`/`shutdown` requests are
+    /// Produces the response line for one framed request, maintaining
+    /// the workload counters (server-level `stats`/`shutdown` requests are
     /// answered but not counted, so polling `stats` never perturbs the
     /// numbers it reports). Everything that is not a server-level request
-    /// flows coalescer → gate → session.
-    fn answer(&self, line: &[u8]) -> String {
-        let parsed = std::str::from_utf8(line)
-            .map_err(|_| "request line is not UTF-8".to_string())
-            .and_then(|line| Request::parse(line.trim()));
-        let mut request = match parsed {
+    /// flows gate → session.
+    fn answer(&self, request: Result<Request, String>) -> String {
+        let request = match request {
             Ok(r) => r,
             Err(message) => return self.refuse(message),
         };
@@ -324,34 +306,18 @@ impl ServerState<'_> {
             _ => {}
         }
         self.received.fetch_add(1, Ordering::Relaxed);
-        clamp_nested_workers(&mut request);
-        let key = request.encode();
         let started = Instant::now();
-        let response = match self.coalescer.join(&key) {
-            Joined::Leader(guard) => {
-                let response = match self.gate.admit() {
-                    Admission::Shed => {
-                        self.shed.fetch_add(1, Ordering::Relaxed);
-                        Response::Error {
-                            message: SHED_MESSAGE.to_string(),
-                        }
-                        .encode()
-                    }
-                    Admission::Admitted(permit) => {
-                        let response = (self.handler)(&request).encode();
-                        drop(permit);
-                        self.record_latency(started);
-                        response
-                    }
-                };
-                // Followers get the same bytes the leader computed — a
-                // shed leader sheds its followers too (they arrived in
-                // the same overloaded instant).
-                guard.publish(response.clone());
-                response
+        let response = match self.gate.admit() {
+            Admission::Shed => {
+                self.shed.fetch_add(1, Ordering::Relaxed);
+                Response::Error {
+                    message: SHED_MESSAGE.to_string(),
+                }
+                .encode()
             }
-            Joined::Follower(response) => {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
+            Admission::Admitted(permit) => {
+                let response = (self.handler)(&request).encode();
+                drop(permit);
                 self.record_latency(started);
                 response
             }
@@ -399,34 +365,25 @@ impl ServerState<'_> {
                 return Ok(()); // draining: finish current request, close
             }
             let before = line.len();
-            // One byte past the cap is enough to tell a line is too long.
-            let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-            match (&mut reader).take(budget).read_until(b'\n', &mut line) {
-                Ok(0) => return Ok(()), // EOF: client closed cleanly
-                Ok(_) => {
+            match read_request(&mut reader, &mut line) {
+                Ok(None) => return Ok(()), // EOF: client closed cleanly
+                Ok(Some(framed)) => {
                     last_activity = Instant::now();
-                    if line.len() > MAX_LINE_BYTES {
-                        // The rest of the line is never read: answer, close.
-                        let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-                        return write_line(&mut writer, &self.refuse(message));
+                    write_line(&mut writer, &self.answer(framed.request))?;
+                    if framed.last {
+                        return Ok(()); // the rest of the line is never read
                     }
-                    if !line.trim_ascii().is_empty() {
-                        write_line(&mut writer, &self.answer(&line))?;
-                    }
-                    line.clear();
                 }
                 Err(e)
                     if matches!(
                         e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    // Poll tick. `read_line` may have consumed a partial
-                    // line into the buffer before timing out — keep it;
-                    // the next pass appends the rest.
-                    if line.len() > before {
+                    // Poll tick. The read may have left a partial line in
+                    // the buffer before timing out — keep it; the next
+                    // pass appends the rest.
+                    if line.len() != before {
                         last_activity = Instant::now();
                     }
                     if let Some(limit) = self.config.idle_timeout {
@@ -464,7 +421,7 @@ pub fn run(
 }
 
 /// [`run`] with the evaluation of each admitted request replaced by
-/// `handler`: everything else — admission, coalescing, `stats` over
+/// `handler`: everything else — framing, admission, `stats` over
 /// `session`'s caches — is unchanged. Tests use it to hold a request in
 /// its slot for exactly as long as a scenario needs.
 ///
@@ -488,7 +445,6 @@ pub fn run_with_handler(
         session,
         handler,
         gate: Gate::new(workers, config.max_queue),
-        coalescer: Coalescer::new(),
         histogram: LatencyHistogram::new(),
         config,
         connections_active: AtomicU64::new(0),
@@ -497,7 +453,6 @@ pub fn run_with_handler(
         ok: AtomicU64::new(0),
         errors: AtomicU64::new(0),
         shed: AtomicU64::new(0),
-        coalesced: AtomicU64::new(0),
     };
     let state = &state;
     std::thread::scope(|scope| {
@@ -527,6 +482,5 @@ pub fn run_with_handler(
             .load(Ordering::Relaxed)
             .saturating_add(state.errors.load(Ordering::Relaxed)),
         errors: state.errors.load(Ordering::Relaxed),
-        coalesced: state.coalesced.load(Ordering::Relaxed),
     })
 }

@@ -822,8 +822,8 @@ wire! {
             /// absent).
             quant: Option<String>,
         },
-        /// Live server counters: cache tiers, admission queue, coalescing,
-        /// latency percentiles. Answered by the network server
+        /// Live server counters: cache tiers, admission queue, latency
+        /// percentiles. Answered by the network server
         /// (`serve --listen`/`--unix`); a plain [`crate::Session`] has no
         /// server counters and answers with an error. The reply is the one
         /// deliberate exception to the byte-determinism contract — it reports
@@ -1282,8 +1282,9 @@ wire! {
         errors: u64 [in "requests"],
         /// Requests refused by admission control (a subset of `errors`).
         shed: u64 [in "requests"],
-        /// Requests that rode an identical in-flight evaluation instead of
-        /// evaluating themselves.
+        /// Always 0: the server evaluates every request itself. The field
+        /// stays on the wire because the repo benchmark (`perfbench`) reads
+        /// it for `net.coalesced_frac`; both go together.
         coalesced: u64 [in "requests"],
         /// Admissions currently waiting for a slot.
         queue_depth: u64 [in "queue" as "depth"],

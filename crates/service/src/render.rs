@@ -262,8 +262,8 @@ pub fn render(response: &Response) -> String {
                 r.connections_active, r.connections_total
             );
             out.push_str(&format!(
-                "requests: {} received, {} ok, {} errors ({} shed), {} coalesced\n",
-                r.received, r.ok, r.errors, r.shed, r.coalesced
+                "requests: {} received, {} ok, {} errors ({} shed)\n",
+                r.received, r.ok, r.errors, r.shed
             ));
             out.push_str(&format!(
                 "queue: {}/{} waiting, {}/{} in flight\n",

@@ -1,10 +1,16 @@
-//! The long-running JSON-lines loop behind `bitfusion-cli serve`.
+//! The long-running JSON-lines loop behind `bitfusion-cli serve`, and the
+//! line framing it shares with the network server ([`crate::net`]).
 //!
-//! Framing: one request per input line, one response per output line, in
-//! the same order. Blank lines are ignored; a line that fails to parse
-//! produces an `{"reply":"error",...}` response in its slot rather than
-//! killing the loop, so a scripted client can correlate responses to
-//! requests positionally.
+//! Framing (`read_request`, the one reader both transports use): one
+//! request per input line, one response per output line, in the same
+//! order. A line is read up to [`MAX_LINE_BYTES`] (one byte past the cap
+//! tells it is too long); a longer line is answered with an error in its
+//! slot and input ends there, since the rest of it is never read. A line
+//! that is not UTF-8 or does not parse is answered with an error in its
+//! slot and reading goes on, so a scripted client can correlate
+//! responses to requests positionally. Blank lines are skipped, and
+//! surrounding whitespace is trimmed. A parsed request gets
+//! [`clamp_nested_workers`].
 //!
 //! Requests are dispatched concurrently across the sim crate's worker
 //! pool ([`for_each_ordered`]) — an expensive `dse` does not
@@ -13,13 +19,20 @@
 //! determinism contract, each output line is byte-identical to what the
 //! corresponding one-shot `--json` invocation prints.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use bitfusion_sim::pool::for_each_ordered;
 
 use crate::protocol::{Request, Response};
 use crate::session::Session;
+
+/// The longest request line either transport accepts, its newline
+/// included. The largest zoo model document (ResNet-18) is about 4 KB; a
+/// longer line is answered with an error and input ends there (the
+/// network server closes the connection), so no client can make a server
+/// buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Clamps a nested `dse` request's "all cores" default to sequential.
 ///
@@ -37,6 +50,57 @@ pub fn clamp_nested_workers(request: &mut Request) {
     }
 }
 
+/// One request line, framed by [`read_request`].
+#[derive(Debug)]
+pub(crate) struct Framed {
+    /// The parsed request (nested-`dse` workers clamped), or the message
+    /// of the error reply that answers the line in its slot.
+    pub(crate) request: Result<Request, String>,
+    /// The line exceeded [`MAX_LINE_BYTES`]: its rest is never read, so
+    /// input ends after this reply.
+    pub(crate) last: bool,
+}
+
+/// Reads and frames the next non-blank request line from `reader` (the
+/// rules are in the [module docs](self)); `Ok(None)` at end of input.
+///
+/// `line` carries a partial line between calls: a read that fails
+/// mid-line (the network server's poll timeout) leaves the bytes read so
+/// far in it, and the next call appends the rest.
+///
+/// # Errors
+///
+/// Propagates read failures, timeouts included.
+pub(crate) fn read_request(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<Framed>> {
+    loop {
+        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        if (&mut *reader).take(budget).read_until(b'\n', line)? == 0 && line.is_empty() {
+            return Ok(None);
+        }
+        let last = line.len() > MAX_LINE_BYTES;
+        let request = if last {
+            Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(line).map(str::trim) {
+                Err(_) => Err("request line is not UTF-8".to_string()),
+                Ok("") => {
+                    line.clear();
+                    continue;
+                }
+                Ok(text) => Request::parse(text).map(|mut request| {
+                    clamp_nested_workers(&mut request);
+                    request
+                }),
+            }
+        };
+        line.clear();
+        return Ok(Some(Framed { request, last }));
+    }
+}
+
 /// What one [`serve`] run processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeSummary {
@@ -46,17 +110,17 @@ pub struct ServeSummary {
     pub errors: u64,
 }
 
-/// Runs the JSON-lines loop: reads requests from `input` until EOF,
-/// writes one response line each to `output` (flushed per line, so a
-/// piped client sees answers as they are ready), dispatching across
-/// `workers` threads (`0` = all cores).
+/// Runs the JSON-lines loop: reads requests from `input` until EOF (or
+/// an over-long line), writes one response line each to `output`
+/// (flushed per line, so a piped client sees answers as they are ready),
+/// dispatching across `workers` threads (`0` = all cores).
 ///
 /// # Errors
 ///
 /// Propagates I/O failures from the reader or writer.
 pub fn serve<R: BufRead + Send, W: Write>(
     session: &Session,
-    input: R,
+    mut input: R,
     mut output: W,
     workers: usize,
 ) -> std::io::Result<ServeSummary> {
@@ -70,24 +134,26 @@ pub fn serve<R: BufRead + Send, W: Write>(
     // Once the writer fails (e.g. the client hung up — EPIPE), there is
     // nobody left to answer: workers stop evaluating and just drain.
     let output_dead = AtomicBool::new(false);
-    let lines = input
-        .lines()
-        .filter(|line| line.as_ref().map_or(true, |l| !l.trim().is_empty()));
+    let mut line = Vec::new();
+    let mut done = false;
+    let requests = std::iter::from_fn(|| {
+        if done {
+            return None;
+        }
+        let next = read_request(&mut input, &mut line).transpose()?;
+        done = next.as_ref().map_or(true, |framed| framed.last);
+        Some(next.map(|framed| framed.request))
+    });
     for_each_ordered(
-        lines,
+        requests,
         workers,
-        |_, line| match line {
+        |_, request| match request {
             Err(e) => Err(e),
             Ok(_) if output_dead.load(Ordering::Relaxed) => Ok(Response::Error {
                 message: "output closed".to_string(),
             }),
-            Ok(text) => Ok(match Request::parse(text.trim()) {
-                Ok(mut request) => {
-                    clamp_nested_workers(&mut request);
-                    session.handle(&request)
-                }
-                Err(message) => Response::Error { message },
-            }),
+            Ok(Ok(request)) => Ok(session.handle(&request)),
+            Ok(Err(message)) => Ok(Response::Error { message }),
         },
         |_, outcome| {
             if io_error.is_some() {
@@ -123,10 +189,10 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn run_script(script: &str, workers: usize) -> (Vec<String>, ServeSummary) {
+    fn run_script(script: impl AsRef<[u8]>, workers: usize) -> (Vec<String>, ServeSummary) {
         let session = Session::new();
         let mut out = Vec::new();
-        let summary = serve(&session, Cursor::new(script), &mut out, workers).unwrap();
+        let summary = serve(&session, Cursor::new(script.as_ref()), &mut out, workers).unwrap();
         let text = String::from_utf8(out).unwrap();
         (text.lines().map(str::to_string).collect(), summary)
     }
@@ -161,6 +227,34 @@ mod tests {
         assert!(lines[0].starts_with("{\"reply\":\"error\""));
         assert!(lines[1].starts_with("{\"reply\":\"list\""));
         assert!(lines[2].contains("nope"));
+        // A non-UTF-8 line gets the network server's error in its slot,
+        // and the loop serves the next line.
+        let (lines, summary) = run_script(b"{\"cmd\":\"list\"}\n\xff\xfe\n{\"cmd\":\"list\"}\n", 2);
+        assert_eq!(lines.len(), 3);
+        assert_eq!(summary.errors, 1);
+        assert!(lines[0].starts_with("{\"reply\":\"list\""));
+        assert_eq!(
+            lines[1],
+            r#"{"reply":"error","message":"request line is not UTF-8"}"#
+        );
+        assert_eq!(lines[2], lines[0]);
+    }
+
+    #[test]
+    fn an_overlong_line_answers_an_error_and_ends_input() {
+        let mut script = b"{\"cmd\":\"list\"}\n".to_vec();
+        script.resize(script.len() + 2 * MAX_LINE_BYTES, b'x');
+        script.extend_from_slice(b"\n{\"cmd\":\"list\"}\n");
+        let (lines, summary) = run_script(script, 2);
+        assert_eq!(lines.len(), 2, "nothing after the over-long line is read");
+        assert_eq!((summary.responses, summary.errors), (2, 1));
+        assert!(lines[0].starts_with("{\"reply\":\"list\""));
+        assert_eq!(
+            lines[1],
+            format!(
+                r#"{{"reply":"error","message":"request line exceeds {MAX_LINE_BYTES} bytes"}}"#
+            )
+        );
     }
 
     #[test]

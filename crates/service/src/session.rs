@@ -33,7 +33,7 @@ use bitfusion_isa::asm::format_block;
 use bitfusion_sim::{
     bandwidth_sweep, batch_sweep, explore_with_caches, layer_cache::run_plan_cached,
     plan_layer_sharing, AnalyticBackend, DseResult, DseSpec, EventBackend, LayerPerfCache,
-    PerfReport, SimOptions, Sweep,
+    PerfReport, SimBackend, SimOptions,
 };
 
 use crate::protocol::{
@@ -363,9 +363,17 @@ impl Session {
         let (model, quant) = (resolved.model, resolved.quant);
         let (baseline, points, layer_hits, layer_misses) = match axis {
             SweepAxis::Bandwidth => {
-                let sweep = self
-                    .dispatch_bandwidth_sweep(backend, &arch, &model)
-                    .map_err(|e| e.to_string())?;
+                let sweep = bandwidth_sweep(
+                    sim_backend(backend),
+                    &arch,
+                    &model,
+                    SWEEP_BANDWIDTH_BATCH,
+                    &SWEEP_BANDWIDTHS,
+                    self.options,
+                    &self.cache,
+                    &self.layer_cache,
+                )
+                .map_err(|e| e.to_string())?;
                 let speedups = sweep
                     .speedups_vs(SWEEP_BANDWIDTH_BASELINE)
                     .ok_or("baseline bandwidth missing from the sweep")?;
@@ -388,9 +396,16 @@ impl Session {
                 )
             }
             SweepAxis::Batch => {
-                let sweep = self
-                    .dispatch_batch_sweep(backend, &arch, &model)
-                    .map_err(|e| e.to_string())?;
+                let sweep = batch_sweep(
+                    sim_backend(backend),
+                    &arch,
+                    &model,
+                    &SWEEP_BATCHES,
+                    self.options,
+                    &self.cache,
+                    &self.layer_cache,
+                )
+                .map_err(|e| e.to_string())?;
                 let speedups = sweep
                     .per_input_speedups_vs(SWEEP_BATCH_BASELINE)
                     .ok_or("baseline batch missing from the sweep")?;
@@ -533,22 +548,13 @@ impl Session {
             return Err("empty design space (a dimension has no candidates)".to_string());
         }
         let workers = usize::try_from(params.workers).unwrap_or(0);
-        let result = match backend {
-            BackendChoice::Analytic => explore_with_caches(
-                &spec,
-                &AnalyticBackend,
-                workers,
-                &self.cache,
-                &self.layer_cache,
-            ),
-            BackendChoice::Event => explore_with_caches(
-                &spec,
-                &EventBackend,
-                workers,
-                &self.cache,
-                &self.layer_cache,
-            ),
-        };
+        let result = explore_with_caches(
+            &spec,
+            sim_backend(backend),
+            workers,
+            &self.cache,
+            &self.layer_cache,
+        );
         Ok(Response::Dse(dse_reply(
             &result,
             grid_points,
@@ -587,82 +593,22 @@ impl Session {
         let cached = self.compiled(model, arch, batch)?;
         let plan = cached.as_ref().as_ref().expect("checked by compiled()");
         let energy = FusionEnergy::isca_45nm();
-        Ok(match backend {
-            BackendChoice::Analytic => run_plan_cached(
-                &AnalyticBackend,
-                plan,
-                arch,
-                &energy,
-                &self.options,
-                &self.layer_cache,
-            ),
-            BackendChoice::Event => run_plan_cached(
-                &EventBackend,
-                plan,
-                arch,
-                &energy,
-                &self.options,
-                &self.layer_cache,
-            ),
-        })
+        Ok(run_plan_cached(
+            sim_backend(backend),
+            plan,
+            arch,
+            &energy,
+            &self.options,
+            &self.layer_cache,
+        ))
     }
+}
 
-    fn dispatch_bandwidth_sweep(
-        &self,
-        backend: BackendChoice,
-        arch: &ArchConfig,
-        model: &bitfusion_dnn::model::Model,
-    ) -> Result<Sweep<u32>, bitfusion_compiler::CompileError> {
-        match backend {
-            BackendChoice::Analytic => bandwidth_sweep(
-                &AnalyticBackend,
-                arch,
-                model,
-                SWEEP_BANDWIDTH_BATCH,
-                &SWEEP_BANDWIDTHS,
-                self.options,
-                &self.cache,
-                &self.layer_cache,
-            ),
-            BackendChoice::Event => bandwidth_sweep(
-                &EventBackend,
-                arch,
-                model,
-                SWEEP_BANDWIDTH_BATCH,
-                &SWEEP_BANDWIDTHS,
-                self.options,
-                &self.cache,
-                &self.layer_cache,
-            ),
-        }
-    }
-
-    fn dispatch_batch_sweep(
-        &self,
-        backend: BackendChoice,
-        arch: &ArchConfig,
-        model: &bitfusion_dnn::model::Model,
-    ) -> Result<Sweep<u64>, bitfusion_compiler::CompileError> {
-        match backend {
-            BackendChoice::Analytic => batch_sweep(
-                &AnalyticBackend,
-                arch,
-                model,
-                &SWEEP_BATCHES,
-                self.options,
-                &self.cache,
-                &self.layer_cache,
-            ),
-            BackendChoice::Event => batch_sweep(
-                &EventBackend,
-                arch,
-                model,
-                &SWEEP_BATCHES,
-                self.options,
-                &self.cache,
-                &self.layer_cache,
-            ),
-        }
+/// The simulator a backend choice names.
+fn sim_backend(choice: BackendChoice) -> &'static (dyn SimBackend + Sync) {
+    match choice {
+        BackendChoice::Analytic => &AnalyticBackend,
+        BackendChoice::Event => &EventBackend,
     }
 }
 

@@ -1,8 +1,6 @@
 //! Network-server integration tests over real sockets: byte-determinism
-//! across concurrent clients, request coalescing (K identical in-flight
-//! requests cost one evaluation, proven via cache counters), load
-//! shedding's pinned error shape, idle-connection reaping, and
-//! shutdown drain.
+//! across concurrent clients, load shedding's pinned error shape, hostile
+//! lines, idle-connection reaping, and shutdown drain.
 //!
 //! Synchronization discipline: tests never sleep-and-hope. A request that
 //! must occupy a slot is held there by the test's handler until the test
@@ -22,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use bitfusion_service::net::{self, NetConfig, NetListener, SHED_MESSAGE};
 use bitfusion_service::protocol::{Request, StatsReply};
-use bitfusion_service::serve::clamp_nested_workers;
+use bitfusion_service::serve::{clamp_nested_workers, MAX_LINE_BYTES};
 use bitfusion_service::{Response, Session};
 
 /// The occupant request: the handler from [`holding`] keeps it in its
@@ -31,9 +29,6 @@ const OCCUPANT: &str = r#"{"cmd":"report","benchmark":"lstm","batch":1}"#;
 
 /// A second, byte-distinct request for queue-occupancy scenarios.
 const QUEUED: &str = r#"{"cmd":"sweep","benchmark":"rnn","axis":"bandwidth"}"#;
-
-/// The identical request the coalescing test fans out K times.
-const COALESCE_DSE: &str = r#"{"cmd":"dse","rows":[16,32],"cols":[16,32],"bandwidth":[64,128],"networks":["vgg-7"],"workers":1,"backend":"event"}"#;
 
 /// Sets the server's stop flag when dropped. Each scenario holds one, so
 /// a panic inside `thread::scope` stops the server (the scope then joins
@@ -157,11 +152,13 @@ fn concurrent_clients_get_one_shot_bytes() {
             .collect();
         let per_client: Vec<Vec<(&str, String)>> =
             clients.into_iter().map(|c| c.join().unwrap()).collect();
+        // The retained wire field: nothing is coalesced.
+        assert_eq!(stats(addr).coalesced, 0);
         config.stop.store(true, Ordering::SeqCst);
         let summary = server.join().unwrap().expect("server runs");
         assert_eq!(summary.responses, 36, "6 clients x 6 requests");
         assert_eq!(summary.errors, 0);
-        assert_eq!(summary.connections, 6);
+        assert_eq!(summary.connections, 7, "6 clients and the stats poll");
         per_client
             .into_iter()
             .map(|got| {
@@ -180,67 +177,6 @@ fn concurrent_clients_get_one_shot_bytes() {
     for r in &responses[1..] {
         assert_eq!(r.len(), responses[0].len());
     }
-}
-
-#[test]
-fn identical_inflight_requests_evaluate_once() {
-    const FOLLOWERS: usize = 3; // K = FOLLOWERS + 1 identical requests
-    let session = Session::new();
-    let (listener, addr) = bind_tcp();
-    let config = NetConfig {
-        workers: 1, // one evaluation slot: the occupant holds it
-        max_queue: 8,
-        ..NetConfig::default()
-    };
-    let (release, held) = mpsc::channel();
-    let held = Mutex::new(held);
-    let handler = holding(&session, &held);
-    let (session, config, handler) = (&session, &config, &handler);
-    thread::scope(|scope| {
-        // Owned by the scenario, so unwinding drops it and frees the
-        // occupant.
-        let release = release;
-        let _stop = StopOnDrop(&config.stop);
-        let server =
-            scope.spawn(move || net::run_with_handler(session, &listener, config, handler));
-        // Occupy the only slot with a held, byte-distinct request.
-        let occupant = scope.spawn(move || exchange(addr, OCCUPANT));
-        wait_until("occupant in flight", || stats(addr).in_flight == 1);
-        // Fan out K identical requests. The first to arrive leads (and
-        // queues behind the occupant); the rest follow its flight.
-        let identical: Vec<_> = (0..=FOLLOWERS)
-            .map(|_| scope.spawn(move || exchange(addr, COALESCE_DSE)))
-            .collect();
-        // All K received and the leader queued — the followers are
-        // waiting on the flight, not occupying queue slots.
-        wait_until("leader queued, followers coalesced", || {
-            let s = stats(addr);
-            s.received == 1 + (FOLLOWERS as u64 + 1) && s.queue_depth == 1
-        });
-        release.send(()).expect("the occupant is held");
-        let expected = one_shot(COALESCE_DSE);
-        for client in identical {
-            assert_eq!(client.join().unwrap(), expected);
-        }
-        assert_eq!(occupant.join().unwrap(), one_shot(OCCUPANT));
-        let s = stats(addr);
-        assert_eq!(s.coalesced, FOLLOWERS as u64, "K-1 requests coalesced");
-        assert_eq!(s.received, 1 + FOLLOWERS as u64 + 1);
-        assert_eq!(s.errors, 0);
-        config.stop.store(true, Ordering::SeqCst);
-        let summary = server.join().unwrap().expect("server runs");
-        assert_eq!(summary.coalesced, FOLLOWERS as u64);
-    });
-    // The spec-level proof that K identical requests cost ONE evaluation:
-    // the shared caches saw exactly the lookups of evaluating the
-    // occupant once and the coalesced request once. A duplicate
-    // evaluation would add hits (warm re-run) and break equality.
-    let reference = Session::new();
-    for line in [OCCUPANT, COALESCE_DSE] {
-        reference.handle(&served(line));
-    }
-    assert_eq!(session.cache_stats(), reference.cache_stats());
-    assert_eq!(session.layer_cache_stats(), reference.layer_cache_stats());
 }
 
 #[test]
@@ -406,13 +342,18 @@ fn hostile_lines_answer_errors_and_the_server_serves_on() {
             "{\"reply\":\"error\",\"message\":\"invalid JSON: nesting deeper than 128 at byte 128\"}\n"
         );
         assert!(send(b"{\"cmd\":\"list\"}\n").starts_with(r#"{"reply":"list""#));
+        // A non-UTF-8 line: answered, connection kept.
+        assert_eq!(
+            send(b"\xff\xfe\n"),
+            "{\"reply\":\"error\",\"message\":\"request line is not UTF-8\"}\n"
+        );
         // A line past the cap: answered, then the connection closes.
-        let reply = send(&vec![b' '; net::MAX_LINE_BYTES + 1]);
+        let reply = send(&vec![b' '; MAX_LINE_BYTES + 1]);
         assert_eq!(
             reply,
             format!(
                 "{{\"reply\":\"error\",\"message\":\"request line exceeds {} bytes\"}}\n",
-                net::MAX_LINE_BYTES
+                MAX_LINE_BYTES
             )
         );
         let mut rest = String::new();
@@ -429,7 +370,7 @@ fn hostile_lines_answer_errors_and_the_server_serves_on() {
         assert!(reply.starts_with(r#"{"reply":"list""#), "{reply}");
         config.stop.store(true, Ordering::SeqCst);
         let summary = server.join().unwrap().expect("server runs");
-        assert_eq!((summary.responses, summary.errors), (4, 2));
+        assert_eq!((summary.responses, summary.errors), (5, 3));
     });
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);

@@ -486,7 +486,11 @@ impl ArchKey {
 /// Explores the spec on `backend` with private, throwaway caches of both
 /// tiers — see [`explore_with_caches`], which this delegates to, for the
 /// shared (session-owned) variant.
-pub fn explore<B: SimBackend + Sync>(spec: &DseSpec, backend: &B, workers: usize) -> DseResult {
+pub fn explore<B: SimBackend + Sync + ?Sized>(
+    spec: &DseSpec,
+    backend: &B,
+    workers: usize,
+) -> DseResult {
     explore_with_caches(
         spec,
         backend,
@@ -516,7 +520,7 @@ pub fn explore<B: SimBackend + Sync>(spec: &DseSpec, backend: &B, workers: usize
 /// functions of their keys. Only [`DseResult::compile_hits`] /
 /// [`DseResult::compile_misses`], the caches' own counters, and wall-clock
 /// time change between cold and warm caches.
-pub fn explore_with_caches<B: SimBackend + Sync>(
+pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
     spec: &DseSpec,
     backend: &B,
     workers: usize,

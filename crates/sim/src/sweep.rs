@@ -96,7 +96,7 @@ impl<T: Copy + PartialEq> Sweep<T> {
 /// Projects a one-axis exploration back into a sweep, propagating the
 /// first infeasible point as an error (a compile failure, or an invalid
 /// swept configuration such as a zero bandwidth).
-fn sweep_view<B: SimBackend + Sync, T>(
+fn sweep_view<B: SimBackend + Sync + ?Sized, T>(
     backend: &B,
     spec: &DseSpec,
     cache: &ArtifactCache,
@@ -147,7 +147,7 @@ fn sweep_view<B: SimBackend + Sync, T>(
 /// configurations (e.g. a zero bandwidth) as
 /// [`CompileError::InvalidArch`](bitfusion_compiler::CompileError).
 #[allow(clippy::too_many_arguments)]
-pub fn bandwidth_sweep<B: SimBackend + Sync>(
+pub fn bandwidth_sweep<B: SimBackend + Sync + ?Sized>(
     backend: &B,
     base_arch: &ArchConfig,
     model: &Model,
@@ -178,7 +178,7 @@ pub fn bandwidth_sweep<B: SimBackend + Sync>(
 /// # Errors
 ///
 /// Propagates compilation failures.
-pub fn batch_sweep<B: SimBackend + Sync>(
+pub fn batch_sweep<B: SimBackend + Sync + ?Sized>(
     backend: &B,
     arch: &ArchConfig,
     model: &Model,

@@ -89,16 +89,17 @@ calibration (threaded through the session's SimOptions):
 `--json` prints the response as one line of JSON — the same bytes `serve`
 writes for the equivalent request. `serve` reads one JSON request per stdin
 line ({\"cmd\":\"report\",\"benchmark\":\"lstm\",...}) and writes one
-response per stdout line, in request order, dispatching concurrently.
+response per stdout line, in request order, dispatching concurrently. A line
+that is not a request gets an error response in its slot; a line over 1 MiB
+also ends input.
 
 network serve: `serve --listen 127.0.0.1:7040` or `serve --unix PATH` runs
 a concurrent server instead of the stdin loop — thread per connection, one
-shared cache, identical in-flight requests coalesced to one evaluation, a
-bounded admission queue (`--max-queue`, default 64) that answers overflow
-with an error response, and an idle-connection timeout (`--idle-timeout`
-seconds, default 300, 0 disables). `{\"cmd\":\"stats\"}` reports live
-counters; `{\"cmd\":\"shutdown\"}` (unix socket only) or SIGINT drains and
-exits. `client` sends one request to a running server and prints the
+shared cache, a bounded admission queue (`--max-queue`, default 64) that
+answers overflow with an error response, and an idle-connection timeout
+(`--idle-timeout` seconds, default 300, 0 disables). `{\"cmd\":\"stats\"}`
+reports live counters; `{\"cmd\":\"shutdown\"}` (unix socket only) or
+SIGINT drains and exits. `client` sends one request to a running server and prints the
 response: give it a raw JSON request line, a normal subcommand spelling
 (e.g. `client --unix P report lstm --json`), or pipe the request on stdin.
 `client --keep-alive` pipelines instead: it holds one connection open and
@@ -744,10 +745,7 @@ fn run_net_serve(
     match result {
         Ok(summary) => {
             print_cache_summary(session, summary.responses, summary.errors);
-            eprintln!(
-                "serve: {} connections, {} coalesced requests",
-                summary.connections, summary.coalesced
-            );
+            eprintln!("serve: {} connections", summary.connections);
             ExitCode::SUCCESS
         }
         Err(e) => {

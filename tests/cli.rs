@@ -428,7 +428,7 @@ fn serve_and_one_shot_asm_agree() {
 
 // ---------------------------------------------------------------------------
 // Network serve: child-process tests over real sockets. The in-process
-// protocol mechanics (coalescing, shedding, idle reaping) live in
+// protocol mechanics (shedding, hostile lines, idle reaping) live in
 // crates/service/tests/net_serve.rs; these pin the CLI surface: flag
 // parsing, the client subcommand, the determinism contract across the
 // whole binary, and clean shutdown.
