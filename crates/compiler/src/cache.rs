@@ -33,8 +33,8 @@
 //! The layer tier sits *below* the model tier: once a plan is resolved
 //! (from the model tier or a fresh compilation), each of its layers can be
 //! evaluated at most once per ([`layer_fingerprint`], batch, geometry,
-//! bandwidth, evaluation context) — [`LayerKey`] — however many grid
-//! points, quantizations, or models share that layer. Networks built from
+//! bandwidth, evaluation context) — [`LayerKey`] — however many requests,
+//! sweep points, or models share that layer. Networks built from
 //! repeated blocks (ResNet-18's basic blocks, VGG's conv stacks) collapse
 //! dramatically under this key; see `DESIGN.md`, "Two-tier compile/sim
 //! cache".
@@ -414,11 +414,14 @@ impl LayerKey {
     }
 }
 
-/// Default layer-tier capacity. Deep networks on a broad grid produce two
-/// orders of magnitude more unique layer keys than model keys, but each
+/// Default layer-tier capacity. The tier is filled by the `report`,
+/// `compare` and `sweep` paths (design-space exploration deduplicates
+/// layers per run instead), where every plan brings one key per layer
+/// and a sweep one more per swept value, so a serving session of new
+/// requests produces many more unique layer keys than model keys. Each
 /// entry is one small evaluation result rather than a compiled plan, so
-/// the tier is sized accordingly above [`DEFAULT_CACHE_CAPACITY`]. It is
-/// 7/8 of 16 384: `HashMap` keeps its load at or below 7/8, so one more
+/// the tier is sized well above [`DEFAULT_CACHE_CAPACITY`]. It is 7/8
+/// of 16 384: `HashMap` keeps its load at or below 7/8, so one more
 /// entry would double the table to 32 768 slots and add about 7 MB.
 pub const DEFAULT_LAYER_CACHE_CAPACITY: usize = 14_336;
 
@@ -536,8 +539,8 @@ impl<V: Clone> LayerArtifactCache<V> {
     /// eighth, so the scan for the oldest entries runs once per
     /// `capacity / 8` inserts rather than on every one.
     ///
-    /// Two threads can both miss `key` while it is being evaluated (the
-    /// DSE engine's workers do). When the second insert finds the entry
+    /// Two threads can both miss `key` while it is being evaluated (two
+    /// serve connections evaluating the same layer do). When the second insert finds the entry
     /// already there, its lookup is recounted as the hit it would have
     /// been one evaluation later, so `misses` counts the entries created
     /// and the counters do not depend on thread timing.

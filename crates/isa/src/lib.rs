@@ -23,7 +23,7 @@
 //!   backends consume;
 //! * [`program`] — compiled segment programs: a block's segment stream
 //!   flattened once into a reusable, allocation-free op sequence (the event
-//!   backend's cache-miss fast path).
+//!   backend's evaluation path).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

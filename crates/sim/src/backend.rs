@@ -50,6 +50,27 @@ pub trait SimBackend {
         energy: &FusionEnergy,
         opts: &SimOptions,
     ) -> LayerPerf;
+
+    /// Evaluates one compiled layer group at each off-chip bandwidth of
+    /// `bandwidths` (bits/cycle, overriding `arch.dram_bits_per_cycle`),
+    /// returning the results in the same order. Tiling does not depend on
+    /// bandwidth, so one plan serves the whole axis; a backend whose
+    /// per-layer setup does not depend on it either can share that setup
+    /// across the axis. Every result must equal [`SimBackend::evaluate_layer`]
+    /// at that bandwidth; the default calls it once per bandwidth.
+    fn evaluate_layer_bandwidths(
+        &self,
+        layer: &PlannedLayer,
+        arch: &ArchConfig,
+        bandwidths: &[u32],
+        energy: &FusionEnergy,
+        opts: &SimOptions,
+    ) -> Vec<LayerPerf> {
+        bandwidths
+            .iter()
+            .map(|&bw| self.evaluate_layer(layer, &arch.clone().with_bandwidth(bw), energy, opts))
+            .collect()
+    }
 }
 
 /// The closed-form performance model (the original engine): exact DMA
@@ -77,8 +98,10 @@ impl SimBackend for AnalyticBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventBackend;
     use bitfusion_compiler::compile;
     use bitfusion_dnn::zoo::Benchmark;
+    use bitfusion_dnn::QuantSpec;
 
     #[test]
     fn analytic_backend_matches_direct_engine_call() {
@@ -95,6 +118,51 @@ mod tests {
                 "{}",
                 l.name
             );
+        }
+    }
+
+    #[test]
+    fn a_bandwidth_axis_equals_one_evaluation_per_bandwidth() {
+        let e = FusionEnergy::isca_45nm();
+        let o = SimOptions::default();
+        let bandwidths = [32, 64, 128, 256, 512];
+        for (rows, cols) in [(16, 8), (32, 16)] {
+            let arch = ArchConfig {
+                rows,
+                cols,
+                ..ArchConfig::isca_45nm()
+            };
+            for b in Benchmark::ALL {
+                for quant in [QuantSpec::paper(), QuantSpec::uniform(8).unwrap()] {
+                    let model = quant.apply(&b.model()).unwrap();
+                    let plan = compile(&model, &arch, 16).unwrap();
+                    for l in &plan.layers {
+                        let backends: [&dyn SimBackend; 2] = [&AnalyticBackend, &EventBackend];
+                        for backend in backends {
+                            let axis =
+                                backend.evaluate_layer_bandwidths(l, &arch, &bandwidths, &e, &o);
+                            let each: Vec<LayerPerf> = bandwidths
+                                .iter()
+                                .map(|&bw| {
+                                    backend.evaluate_layer(
+                                        l,
+                                        &arch.clone().with_bandwidth(bw),
+                                        &e,
+                                        &o,
+                                    )
+                                })
+                                .collect();
+                            assert_eq!(
+                                axis,
+                                each,
+                                "{}: {b}/{quant}/{rows}x{cols}/{}",
+                                backend.name(),
+                                l.name
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -24,17 +24,22 @@
 //!   compilation). The session facade passes its own cache, so repeated
 //!   explorations (and `report`/`compare`/`sweep` requests touching the
 //!   same keys) skip compilation entirely;
-//! * **memoized evaluation** — below the artifact cache sits the layer
-//!   tier ([`crate::layer_cache`]): per-layer results keyed on structural
-//!   fingerprints, so a repeated layer shape — within a network, across
-//!   duplicate models, or across re-explorations — is evaluated once per
-//!   unique `(layer, batch, geometry, bandwidth, backend/options)` key.
-//!   [`explore_with_caches`] accepts both tiers caller-owned;
+//! * **memoized evaluation** — a layer's result depends on its structural
+//!   fingerprint ([`layer_fingerprint`]), the compile key (batch and
+//!   geometry) and the bandwidth. One walk over the points' layers builds
+//!   a per-run job table — one job per (layer fingerprint, compile key),
+//!   carrying every bandwidth its points need — so a repeated shape
+//!   (within a network, across duplicate models or aliasing quant specs)
+//!   is evaluated once, and once for its whole bandwidth axis through
+//!   [`SimBackend::evaluate_layer_bandwidths`] (the event backend builds
+//!   the layer's segment program once and replays it per bandwidth).
+//!   Points are assembled from the job results by index, with no lock
+//!   per layer; the layer tier ([`crate::layer_cache`]) is not read.
 //!   [`DseResult::layer_evals`] / [`DseResult::layer_unique`] report the
 //!   spec-level sharing;
-//! * **worker model** — unique compilations, then per-point evaluations,
-//!   are each sharded across a [`crate::pool`] scoped thread pool. Results
-//!   land in point-index order, so the output — and every Pareto frontier
+//! * **worker model** — unique compilations, then evaluation jobs, are
+//!   each sharded across a [`crate::pool`] scoped thread pool. Results
+//!   land in index order, so the output — and every Pareto frontier
 //!   derived from it — is bit-identical for any worker count;
 //! * **reduction** — per-architecture aggregation over the whole workload
 //!   suite ([`DseResult::arch_summaries`]) and the non-dominated subset
@@ -42,14 +47,13 @@
 //!   (total cycles, total energy, chip area), with per-point stall
 //!   attribution from whichever [`SimBackend`] ran the evaluation.
 //!
-//! The Figure 15/16 sweeps in [`crate::sweep`] are thin views over this
-//! engine. See `DESIGN.md`, "Design-space exploration".
+//! The Figure 15/16 sweeps in [`crate::sweep`] do not use this engine:
+//! they take the `report` path once per point. See `DESIGN.md`,
+//! "Design-space exploration".
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use bitfusion_compiler::{
-    layer_fingerprint, ArtifactCache, ArtifactKey, CachedPlan, CompileError, LayerKey,
-};
+use bitfusion_compiler::{layer_fingerprint, ArtifactCache, ArtifactKey, CachedPlan, CompileError};
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_core::grid::ArchGrid;
 use bitfusion_dnn::model::Model;
@@ -59,7 +63,7 @@ use bitfusion_energy::{ChipArea, FusionEnergy};
 
 use crate::backend::SimBackend;
 use crate::engine::SimOptions;
-use crate::layer_cache::{eval_context, evaluate_layer_cached, LayerPerfCache};
+use crate::layer_cache::LayerPerfCache;
 use crate::pool::map_indexed;
 use crate::stats::{LayerPerf, PerfReport, StallBreakdown};
 
@@ -241,11 +245,10 @@ pub struct DseResult {
     /// Layer evaluations the run's evaluated points requested (every layer
     /// of every point that reached a compiled plan).
     pub layer_evals: u64,
-    /// Unique layer-tier keys those evaluations resolve to — the number of
-    /// backend evaluations actually needed. Deterministic for a given spec
-    /// (unlike the layer cache's own hit/miss counters, which depend on
-    /// warmth), so protocol responses report layer sharing in terms of
-    /// this.
+    /// Unique [`LayerKey`](bitfusion_compiler::LayerKey)s (layer, compile
+    /// key, bandwidth) those evaluations resolve to — the layer results
+    /// the run actually computes. Deterministic for a given spec, so
+    /// protocol responses report layer sharing in terms of this.
     pub layer_unique: u64,
 }
 
@@ -302,7 +305,7 @@ impl DseResult {
         self.compilable_points() - self.compile_unique
     }
 
-    /// Spec-level layer-tier sharing, independent of cache warmth: layer
+    /// Spec-level layer sharing, independent of cache warmth: layer
     /// evaluations answered by a key some other layer of the same run also
     /// resolves to — repeated shapes within a network (ResNet basic
     /// blocks), duplicate models, and aliasing quant specs. The typed
@@ -422,14 +425,16 @@ pub struct QuantSpeedup {
     pub energy_ratio: f64,
 }
 
-/// In-run compile identity: the same fields as
-/// [`ArtifactKey`] but with the quantized model variant as a spec index
-/// (model × quant spec), so per-point dedup never re-fingerprints a
-/// model. Only the unique keys are promoted to full [`ArtifactKey`]s when
-/// they touch the shared cache.
+/// The compile-relevant part of a point: its batch and every
+/// [`ArchConfig`] field tiling reads — the same fields as [`ArtifactKey`]
+/// minus the model. Paired with a quantized-model variant's spec index
+/// (model × quant spec) it is the in-run compile identity, so per-point
+/// dedup never re-fingerprints a model; only the unique keys are promoted
+/// to full [`ArtifactKey`]s when they touch the shared cache. Paired with
+/// a layer fingerprint it is a phase-2 job: every
+/// [`LayerKey`](bitfusion_compiler::LayerKey) field but the bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct LocalKey {
-    variant: usize,
+struct CompileKey {
     batch: u64,
     rows: usize,
     cols: usize,
@@ -439,10 +444,9 @@ struct LocalKey {
     buffer_access_bits: u32,
 }
 
-impl LocalKey {
-    fn of(variant: usize, batch: u64, arch: &ArchConfig) -> Self {
-        LocalKey {
-            variant,
+impl CompileKey {
+    fn of(batch: u64, arch: &ArchConfig) -> Self {
+        CompileKey {
             batch,
             rows: arch.rows,
             cols: arch.cols,
@@ -483,8 +487,8 @@ impl ArchKey {
     }
 }
 
-/// Explores the spec on `backend` with private, throwaway caches of both
-/// tiers — see [`explore_with_caches`], which this delegates to, for the
+/// Explores the spec on `backend` with a private, throwaway artifact
+/// cache — see [`explore_with_caches`], which this delegates to, for the
 /// shared (session-owned) variant.
 pub fn explore<B: SimBackend + Sync + ?Sized>(
     spec: &DseSpec,
@@ -502,30 +506,36 @@ pub fn explore<B: SimBackend + Sync + ?Sized>(
 
 /// Explores the spec on `backend`, sharded across `workers` threads
 /// (`0` = use [`crate::pool::default_workers`]; `1` = the sequential
-/// baseline), resolving compilations through `cache` and per-layer
-/// evaluations through `layer_cache`.
+/// baseline), resolving compilations through `cache`.
+///
+/// `layer_cache` is not read: exploration deduplicates layer evaluations
+/// in a per-run job table instead (below). The parameter stays until the
+/// layer tier itself is deleted (ROADMAP, "Delete the layer tier"),
+/// because perfbench's traced run passes one.
 ///
 /// Two sharded phases: every unique compilation not already resident in
-/// `cache` first (each exactly once, whatever the worker count), then every
-/// point evaluation against the resolved plans — each layer routed through
-/// the layer tier, so a repeated shape is evaluated once per
-/// [`LayerKey`] however many points and layers request it. Invalid
+/// `cache` first (each exactly once, whatever the worker count), then one
+/// job per unique (layer fingerprint, compile key) — a repeated shape is
+/// evaluated once however many points and layers request it, and once for
+/// its whole bandwidth axis through
+/// [`SimBackend::evaluate_layer_bandwidths`]. Points are assembled from the
+/// job results by index; no phase takes a lock per layer. Invalid
 /// configurations and compile failures become [`InfeasiblePoint`]s rather
 /// than aborting the sweep — a wide grid is expected to contain corners no
 /// tiling fits.
 ///
-/// Results do not depend on either cache's warmth: plans are pinned in a
+/// Results do not depend on the cache's warmth: plans are pinned in a
 /// local table for the duration of the run (eviction cannot drop a plan
 /// mid-run), and both compilation and evaluation are deterministic
 /// functions of their keys. Only [`DseResult::compile_hits`] /
-/// [`DseResult::compile_misses`], the caches' own counters, and wall-clock
+/// [`DseResult::compile_misses`], the cache's own counters, and wall-clock
 /// time change between cold and warm caches.
 pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
     spec: &DseSpec,
     backend: &B,
     workers: usize,
     cache: &ArtifactCache,
-    layer_cache: &LayerPerfCache,
+    _layer_cache: &LayerPerfCache,
 ) -> DseResult {
     let workers = if workers == 0 {
         crate::pool::default_workers()
@@ -575,13 +585,13 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
     // fields) key — from the shared cache when resident, compiling exactly
     // once otherwise, sharded across the pool. Invalid configs and failed
     // quantizations are filtered here so compilation never sees them.
-    let mut key_index: HashMap<LocalKey, usize> = HashMap::new();
-    let mut unique: Vec<(LocalKey, usize)> = Vec::new(); // key + an arch index
+    let mut key_index: HashMap<(usize, CompileKey), usize> = HashMap::new();
+    let mut unique: Vec<((usize, CompileKey), usize)> = Vec::new(); // key + an arch index
     for p in &point_refs {
         if !feasible(p) {
             continue;
         }
-        let key = LocalKey::of(p.variant, p.batch, &archs[p.arch]);
+        let key = (p.variant, CompileKey::of(p.batch, &archs[p.arch]));
         key_index.entry(key).or_insert_with(|| {
             unique.push((key, p.arch));
             unique.len() - 1
@@ -602,11 +612,11 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
     let mut canonical: HashMap<ArtifactKey, usize> = HashMap::new();
     let mut aliases: Vec<(usize, usize)> = Vec::new(); // (duplicate, canonical)
     let mut missing: Vec<usize> = Vec::new(); // indices into `unique`
-    for (i, (key, arch_idx)) in unique.iter().enumerate() {
-        let model = variants[key.variant].as_ref().expect("feasible variant");
+    for (i, ((variant, key), arch_idx)) in unique.iter().enumerate() {
+        let model = variants[*variant].as_ref().expect("feasible variant");
         let akey = ArtifactKey::with_fingerprint(
             &model.name,
-            fingerprints[key.variant],
+            fingerprints[*variant],
             &archs[*arch_idx],
             key.batch,
         );
@@ -630,9 +640,9 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
     }
     // Compile outside the cache lock (sharded), then publish each result.
     let compiled: Vec<CachedPlan> = map_indexed(missing.len(), workers, |m| {
-        let (key, arch_idx) = unique[missing[m]];
+        let ((variant, key), arch_idx) = unique[missing[m]];
         CachedPlan::new(bitfusion_compiler::compile(
-            variants[key.variant].as_ref().expect("feasible variant"),
+            variants[variant].as_ref().expect("feasible variant"),
             &archs[arch_idx],
             key.batch,
         ))
@@ -650,7 +660,7 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
     let compile_hits = point_refs.iter().filter(|p| feasible(p)).count() as u64 - compile_misses;
 
     // Layer fingerprints, hashed once per unique plan (not once per point ×
-    // layer), and the evaluation context shared by every phase-2 lookup.
+    // layer).
     let layer_fps: Vec<Option<Vec<u64>>> = plans
         .iter()
         .map(|p| match p.as_ref() {
@@ -658,118 +668,142 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
             Err(_) => None,
         })
         .collect();
-    let context = eval_context(backend.name(), &opts);
 
-    // Spec-level layer-tier counters, from the key sets alone: how many
-    // layer evaluations the points request and how many unique keys they
-    // resolve to. Warmth-independent by construction (the cache is never
-    // consulted), so protocol responses built on them stay byte-identical
-    // between cold and warm sessions.
-    let mut layer_evals: u64 = 0;
-    let mut layer_keys: HashSet<LayerKey> = HashSet::new();
+    // Phase 2 job table, from one walk over the points' layers: one job
+    // per (layer fingerprint, compile key) — every `LayerKey` field but the
+    // bandwidth, the context being fixed for the run — carrying each
+    // bandwidth its points request. `slots` records, for every layer of
+    // every point with a compiled plan (in point order), the job and
+    // bandwidth that answer it.
+    struct Job {
+        plan: usize,
+        layer: usize,
+        arch: usize,
+        bandwidths: Vec<u32>,
+    }
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut job_index: HashMap<(u64, CompileKey), usize> = HashMap::new();
+    let mut slots: Vec<(usize, usize)> = Vec::new();
     for p in &point_refs {
         if !feasible(p) {
             continue;
         }
         let arch = &archs[p.arch];
-        let idx = key_index[&LocalKey::of(p.variant, p.batch, arch)];
-        if let Some(fps) = &layer_fps[idx] {
-            layer_evals += fps.len() as u64;
-            for &fp in fps {
-                layer_keys.insert(LayerKey::of(fp, arch, p.batch, context));
-            }
+        let key = CompileKey::of(p.batch, arch);
+        let idx = key_index[&(p.variant, key)];
+        let Some(fps) = &layer_fps[idx] else {
+            continue;
+        };
+        for (layer, &fp) in fps.iter().enumerate() {
+            let j = *job_index.entry((fp, key)).or_insert_with(|| {
+                jobs.push(Job {
+                    plan: idx,
+                    layer,
+                    arch: p.arch,
+                    bandwidths: Vec::new(),
+                });
+                jobs.len() - 1
+            });
+            let bandwidths = &mut jobs[j].bandwidths;
+            let slot = match bandwidths
+                .iter()
+                .position(|&b| b == arch.dram_bits_per_cycle)
+            {
+                Some(slot) => slot,
+                None => {
+                    bandwidths.push(arch.dram_bits_per_cycle);
+                    bandwidths.len() - 1
+                }
+            };
+            slots.push((j, slot));
         }
     }
-    let layer_unique = layer_keys.len() as u64;
+    // Spec-level layer counters, from the job table alone: how many layer
+    // evaluations the points request, and how many unique `LayerKey`s
+    // (job × bandwidth) they resolve to. Warmth-independent by
+    // construction, so protocol responses built on them stay
+    // byte-identical between cold and warm sessions.
+    let layer_evals = slots.len() as u64;
+    let layer_unique = jobs.iter().map(|j| j.bandwidths.len() as u64).sum();
 
-    // Phase 2: evaluate every point against its cached plan.
-    enum Outcome {
-        Ok(Box<DsePoint>),
-        Infeasible(Box<InfeasiblePoint>),
-    }
-    let outcomes = map_indexed(point_refs.len(), workers, |i| {
-        let p = &point_refs[i];
+    // Phase 2: evaluate every job once, sharded: one call per unique
+    // layer and geometry, covering its whole bandwidth axis.
+    let results: Vec<Vec<LayerPerf>> = map_indexed(jobs.len(), workers, |j| {
+        let job = &jobs[j];
+        let plan = plans[job.plan]
+            .as_ref()
+            .as_ref()
+            .expect("jobs come from Ok plans");
+        backend.evaluate_layer_bandwidths(
+            &plan.layers[job.layer],
+            &archs[job.arch],
+            &job.bandwidths,
+            &energy,
+            &opts,
+        )
+    });
+
+    // Assemble the points in spec order from the results, by index.
+    let mut slots = slots.into_iter();
+    let mut points = Vec::new();
+    let mut infeasible = Vec::new();
+    for p in &point_refs {
         let arch = &archs[p.arch];
         let base = &spec.models[p.variant / nquants];
         let quant = &quant_names[p.variant % nquants];
-        if let Err(e) = arch.validate() {
-            return Outcome::Infeasible(Box::new(InfeasiblePoint {
+        let mut fail = |error| {
+            infeasible.push(InfeasiblePoint {
                 arch: arch.clone(),
                 model_name: base.name.clone(),
                 quant: quant.clone(),
                 batch: p.batch,
-                error: PointError::InvalidConfig(e),
-            }));
+                error,
+            })
+        };
+        if let Err(e) = arch.validate() {
+            fail(PointError::InvalidConfig(e));
+            continue;
         }
         let model = match &variants[p.variant] {
             Ok(m) => m,
             Err(e) => {
-                return Outcome::Infeasible(Box::new(InfeasiblePoint {
-                    arch: arch.clone(),
-                    model_name: base.name.clone(),
-                    quant: quant.clone(),
-                    batch: p.batch,
-                    error: PointError::Quant(e.clone()),
-                }))
+                fail(PointError::Quant(e.clone()));
+                continue;
             }
         };
-        let key = LocalKey::of(p.variant, p.batch, arch);
-        let idx = key_index[&key];
-        let plan = &plans[idx];
-        match plan.as_ref() {
-            Err(e) => Outcome::Infeasible(Box::new(InfeasiblePoint {
-                arch: arch.clone(),
-                model_name: model.name.clone(),
-                quant: quant.clone(),
-                batch: p.batch,
-                error: PointError::Compile(e.clone()),
-            })),
-            Ok(plan) => {
-                let fps = layer_fps[idx].as_ref().expect("Ok plan has fingerprints");
-                let layers: Vec<LayerPerf> = plan
-                    .layers
-                    .iter()
-                    .zip(fps)
-                    .map(|(l, &fp)| {
-                        evaluate_layer_cached(
-                            backend,
-                            l,
-                            fp,
-                            p.batch,
-                            arch,
-                            &energy,
-                            &opts,
-                            context,
-                            layer_cache,
-                        )
-                    })
-                    .collect();
-                let report = PerfReport {
-                    model_name: model.name.clone(),
-                    batch: p.batch,
-                    freq_mhz: arch.freq_mhz,
-                    layers,
-                };
-                let area_mm2 = ChipArea::of(arch, opts.node).chip_mm2();
-                Outcome::Ok(Box::new(DsePoint {
-                    arch: arch.clone(),
-                    model_name: model.name.clone(),
-                    quant: quant.clone(),
-                    batch: p.batch,
-                    report,
-                    area_mm2,
-                }))
+        let idx = key_index[&(p.variant, CompileKey::of(p.batch, arch))];
+        let plan = match plans[idx].as_ref() {
+            Ok(plan) => plan,
+            Err(e) => {
+                fail(PointError::Compile(e.clone()));
+                continue;
             }
-        }
-    });
-
-    let mut points = Vec::new();
-    let mut infeasible = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            Outcome::Ok(p) => points.push(*p),
-            Outcome::Infeasible(p) => infeasible.push(*p),
-        }
+        };
+        let layers = plan
+            .layers
+            .iter()
+            .map(|l| {
+                let (j, slot) = slots.next().expect("one slot per layer");
+                // Identical twins at different depths share a job; only
+                // the name is per-instance.
+                let mut perf = results[j][slot].clone();
+                perf.name.clone_from(&l.name);
+                perf
+            })
+            .collect();
+        points.push(DsePoint {
+            arch: arch.clone(),
+            model_name: model.name.clone(),
+            quant: quant.clone(),
+            batch: p.batch,
+            report: PerfReport {
+                model_name: model.name.clone(),
+                batch: p.batch,
+                freq_mhz: arch.freq_mhz,
+                layers,
+            },
+            area_mm2: ChipArea::of(arch, opts.node).chip_mm2(),
+        });
     }
     DseResult {
         backend: backend.name(),
@@ -790,6 +824,8 @@ mod tests {
     use crate::accelerator::BitFusionSim;
     use crate::backend::AnalyticBackend;
     use crate::event::EventBackend;
+    use bitfusion_compiler::LayerKey;
+    use std::collections::HashSet;
 
     fn small_spec() -> DseSpec {
         let grid = ArchGrid {
@@ -844,81 +880,118 @@ mod tests {
     }
 
     #[test]
-    fn layer_tier_collapses_repeated_shapes_and_stays_byte_identical() {
+    fn explore_leaves_the_layer_tier_untouched_and_matches_per_point_runs() {
+        // A duplicated model and two quant specs that alias on LSTM (its
+        // paper assignment is uniform 4/4), so jobs are shared across
+        // models, variants and the bandwidth axis. Two IBUF sizes leave
+        // some layers' tiling, and so their fingerprints, unchanged while
+        // their buffer energy differs: jobs must still split on them.
         let spec = DseSpec {
             grid: ArchGrid {
+                cols: vec![8, 16],
+                ibuf_bytes: vec![16 * 1024, 64 * 1024],
                 dram_bits_per_cycle: vec![64, 192],
                 ..ArchGrid::from_base(ArchConfig::isca_45nm())
             },
-            models: vec![Benchmark::ResNet18.model()],
-            quant_specs: vec![QuantSpec::paper(), QuantSpec::uniform(8).unwrap()],
+            models: vec![
+                Benchmark::ResNet18.model(),
+                Benchmark::Lstm.model(),
+                Benchmark::Lstm.model(),
+            ],
+            quant_specs: vec![QuantSpec::paper(), QuantSpec::uniform(4).unwrap()],
             batches: vec![16],
             options: SimOptions::default(),
         };
-        check_layer_tier(&spec, AnalyticBackend);
-        check_layer_tier(&spec, EventBackend);
+        check_against_per_point_runs(&spec, AnalyticBackend);
+        check_against_per_point_runs(&spec, EventBackend);
     }
 
-    /// Runs `spec` cold, then warm, through one pair of caches: the layer
-    /// tier evaluates each unique key once, the warm run evaluates nothing,
-    /// and neither warmth nor the tier changes a point or the frontier.
-    fn check_layer_tier<B: SimBackend + Sync + Copy>(spec: &DseSpec, backend: B) {
+    /// Explores `spec` at 1, 2 and 4 workers through a caller-owned layer
+    /// tier and checks that the tier stays untouched, and that points,
+    /// frontier and the spec-level counters equal what running every point
+    /// on its own through [`BitFusionSim`] gives.
+    fn check_against_per_point_runs<B: SimBackend + Sync + Copy>(spec: &DseSpec, backend: B) {
         let name = backend.name();
-        let cache = ArtifactCache::default();
-        let layer_cache = LayerPerfCache::default();
-        let cold = explore_with_caches(spec, &backend, 2, &cache, &layer_cache);
-        assert_eq!(cold.points.len(), spec.len(), "{name}");
-        // ResNet-18's basic blocks repeat shapes: fewer unique keys than
-        // evaluations even though the 2-point bandwidth axis splits keys.
-        assert!(
-            cold.layer_unique < cold.layer_evals,
-            "{name}: {} unique / {} evals",
-            cold.layer_unique,
-            cold.layer_evals
-        );
-        assert_eq!(cold.spec_layer_hits(), cold.layer_evals - cold.layer_unique);
-        let cold_stats = layer_cache.stats();
-        assert_eq!(
-            cold_stats.misses, cold.layer_unique,
-            "{name}: cold cache evaluates each key once"
-        );
-        assert_eq!(
-            cold_stats.hits + cold_stats.misses,
-            cold.layer_evals,
-            "{name}: every evaluation goes through the tier"
-        );
-        // The counters match at any worker count, even when two workers
-        // race to evaluate one key.
-        let fresh = LayerPerfCache::default();
-        explore_with_caches(spec, &backend, 4, &ArtifactCache::default(), &fresh);
-        assert_eq!(fresh.stats(), cold_stats, "{name}: worker count");
-        // Warm re-run: zero new evaluations, identical results and
-        // identical spec-level counters.
-        let warm = explore_with_caches(spec, &backend, 2, &cache, &layer_cache);
-        assert_eq!(layer_cache.stats().misses, cold_stats.misses, "{name}");
-        assert_eq!(warm.layer_evals, cold.layer_evals, "{name}");
-        assert_eq!(warm.layer_unique, cold.layer_unique, "{name}");
-        assert_eq!(warm.points.len(), cold.points.len(), "{name}");
-        for (a, b) in cold.points.iter().zip(&warm.points) {
-            assert_eq!(a.arch, b.arch, "{name}");
-            assert_eq!(a.quant, b.quant, "{name}");
-            assert_eq!(a.report, b.report, "{name}: {}/{}", a.model_name, a.quant);
+        let context = crate::layer_cache::eval_context(name, &spec.options);
+        let mut points = Vec::new();
+        let mut artifacts = HashSet::new();
+        let mut layer_keys = HashSet::new();
+        let mut layer_evals = 0;
+        for model in &spec.models {
+            for q in &spec.quant_specs {
+                let variant = q.apply(model).unwrap();
+                for &batch in &spec.batches {
+                    for arch in spec.grid.configs() {
+                        let plan = bitfusion_compiler::compile(&variant, &arch, batch).unwrap();
+                        artifacts.insert(ArtifactKey::of(&variant, &arch, batch));
+                        layer_evals += plan.layers.len() as u64;
+                        for l in &plan.layers {
+                            let fp = layer_fingerprint(l);
+                            layer_keys.insert(LayerKey::of(fp, &arch, batch, context));
+                        }
+                        points.push(DsePoint {
+                            report: BitFusionSim::with_backend(arch.clone(), backend)
+                                .run_plan(&plan),
+                            area_mm2: ChipArea::of(&arch, spec.options.node).chip_mm2(),
+                            arch,
+                            model_name: variant.name.clone(),
+                            quant: q.to_string(),
+                            batch,
+                        });
+                    }
+                }
+            }
         }
-        assert_eq!(
-            format!("{:?}", cold.pareto_frontier()),
-            format!("{:?}", warm.pareto_frontier()),
-            "{name}: frontier"
-        );
-        // And the tier matches evaluating every layer directly.
-        for p in &cold.points {
-            let model = QuantSpec::parse(&p.quant)
-                .unwrap()
-                .apply(&spec.models[0])
-                .unwrap();
-            let direct = BitFusionSim::with_backend(p.arch.clone(), backend)
-                .run(&model, p.batch)
-                .unwrap();
-            assert_eq!(direct, p.report, "{name}: {}/{}", p.model_name, p.quant);
+        let oracle = DseResult {
+            backend: name,
+            points,
+            infeasible: Vec::new(),
+            workloads_expected: spec.workloads(),
+            compile_hits: 0,
+            compile_misses: 0,
+            compile_unique: artifacts.len() as u64,
+            layer_evals,
+            layer_unique: layer_keys.len() as u64,
+        };
+        assert!(oracle.spec_layer_hits() > 0, "{name}: shapes repeat");
+        for workers in [1, 2, 4] {
+            let layer_cache = LayerPerfCache::default();
+            let result = explore_with_caches(
+                spec,
+                &backend,
+                workers,
+                &ArtifactCache::default(),
+                &layer_cache,
+            );
+            let stats = layer_cache.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.len),
+                (0, 0, 0),
+                "{name}/{workers}w: explore must not touch the layer tier"
+            );
+            assert_eq!(
+                format!("{:?}", result.points),
+                format!("{:?}", oracle.points),
+                "{name}/{workers}w: points"
+            );
+            assert_eq!(
+                format!("{:?}", result.pareto_frontier()),
+                format!("{:?}", oracle.pareto_frontier()),
+                "{name}/{workers}w: frontier"
+            );
+            assert_eq!(
+                (
+                    result.compile_unique,
+                    result.layer_evals,
+                    result.layer_unique
+                ),
+                (
+                    oracle.compile_unique,
+                    oracle.layer_evals,
+                    oracle.layer_unique
+                ),
+                "{name}/{workers}w: spec counters"
+            );
         }
     }
 

@@ -3,10 +3,12 @@
 //! [`EventBackend`] consumes a compiled block as a segment stream — one
 //! segment per iteration of the DMA-issuing tile loops, produced by
 //! compiling the block once into a [`bitfusion_isa::SegmentProgram`] and
-//! replaying it allocation-free (the layer-cache *miss* fast path), with
-//! steady-state tile iterations applied in one jump rather than one by
-//! one — and advances explicit pipeline state across three engines of the
-//! §IV decoupled-access machine:
+//! replaying it allocation-free (once per bandwidth when a design-space
+//! walk asks for a whole bandwidth axis, see
+//! [`SimBackend::evaluate_layer_bandwidths`]), with steady-state tile
+//! iterations applied in one jump rather than one by one — and advances
+//! explicit pipeline state across three engines of the §IV
+//! decoupled-access machine:
 //!
 //! * a **DMA engine** shared by `ld-mem`/`st-mem`: one transfer at a time
 //!   at the derated off-chip bandwidth, double-buffered per scratchpad — a
@@ -30,7 +32,7 @@
 
 use bitfusion_compiler::PlannedLayer;
 use bitfusion_core::arch::ArchConfig;
-use bitfusion_energy::FusionEnergy;
+use bitfusion_energy::{EnergyBreakdown, FusionEnergy};
 use bitfusion_isa::block::MAX_LOOP_DEPTH;
 use bitfusion_isa::program::{ReplaySink, SegmentProgram};
 use bitfusion_isa::walker::{for_each_segment_reference, BlockSummary, Segment};
@@ -390,11 +392,9 @@ fn segment_costs(layer: &PlannedLayer, arch: &ArchConfig, opts: &SimOptions) -> 
 
 fn perf_from_timeline(
     layer: &PlannedLayer,
-    arch: &ArchConfig,
-    energy: &FusionEnergy,
-    opts: &SimOptions,
     mut timeline: Timeline,
     merged: &BlockSummary,
+    energy: EnergyBreakdown,
 ) -> LayerPerf {
     debug_assert_eq!(
         merged.compute_count(ComputeFn::Mac),
@@ -408,7 +408,7 @@ fn perf_from_timeline(
         dma_cycles: timeline.dma_busy,
         dram_bits: merged.dram_bits(),
         macs: layer.mapping.macs,
-        energy: energy_for_layer(layer, arch, energy, opts, merged),
+        energy,
         stalls: timeline.stalls,
         occupancy: timeline.occupancy,
     }
@@ -426,14 +426,34 @@ impl SimBackend for EventBackend {
         energy: &FusionEnergy,
         opts: &SimOptions,
     ) -> LayerPerf {
-        let costs = segment_costs(layer, arch, opts);
-        // The cache-miss fast path: compile the block's loop tree once into
-        // a flat segment program and replay it run by run, jumping over
-        // tile iterations once they only shift the timeline.
+        let mut perfs =
+            self.evaluate_layer_bandwidths(layer, arch, &[arch.dram_bits_per_cycle], energy, opts);
+        perfs.pop().expect("one bandwidth, one result")
+    }
+
+    fn evaluate_layer_bandwidths(
+        &self,
+        layer: &PlannedLayer,
+        arch: &ArchConfig,
+        bandwidths: &[u32],
+        energy: &FusionEnergy,
+        opts: &SimOptions,
+    ) -> Vec<LayerPerf> {
+        // Compile the block's loop tree once into a flat segment program
+        // and charge its energy once (neither depends on bandwidth), then
+        // replay the program run by run per bandwidth, jumping over tile
+        // iterations once they only shift the timeline.
         let program = SegmentProgram::compile(&layer.block);
-        let mut sink = TimelineSink::new(&program, &costs);
-        program.replay_runs(&mut sink);
-        perf_from_timeline(layer, arch, energy, opts, sink.timeline, program.total())
+        let energy = energy_for_layer(layer, arch, energy, opts, program.total());
+        bandwidths
+            .iter()
+            .map(|&bw| {
+                let costs = segment_costs(layer, &arch.clone().with_bandwidth(bw), opts);
+                let mut sink = TimelineSink::new(&program, &costs);
+                program.replay_runs(&mut sink);
+                perf_from_timeline(layer, sink.timeline, program.total(), energy)
+            })
+            .collect()
     }
 }
 
@@ -459,7 +479,8 @@ pub fn evaluate_layer_naive(
         advance(&mut timeline, seg, &c);
         merged.merge(seg);
     });
-    perf_from_timeline(layer, arch, energy, opts, timeline, &merged)
+    let energy = energy_for_layer(layer, arch, energy, opts, &merged);
+    perf_from_timeline(layer, timeline, &merged, energy)
 }
 
 #[cfg(test)]
@@ -683,10 +704,11 @@ mod tests {
     #[test]
     fn event_cycles_track_analytic_within_band() {
         for b in [Benchmark::Svhn, Benchmark::Rnn] {
-            let (ev_total, an_total) = eval_both(b, 16).iter().fold(
-                (0u64, 0u64),
-                |(e, a), (ev, an)| (e + ev.cycles, a + an.cycles),
-            );
+            let (ev_total, an_total) = eval_both(b, 16)
+                .iter()
+                .fold((0u64, 0u64), |(e, a), (ev, an)| {
+                    (e + ev.cycles, a + an.cycles)
+                });
             let rel = (ev_total as f64 - an_total as f64).abs() / an_total as f64;
             assert!(rel < 0.25, "{b}: event {ev_total} vs analytic {an_total}");
         }

@@ -9,9 +9,15 @@
 //! mapping), the batch, the architecture's geometry and off-chip
 //! bandwidth, and the evaluation context (backend + calibration knobs,
 //! folded into [`eval_context`]). Networks full of repeated layer shapes —
-//! ResNet-18's basic blocks, VGG's conv stacks — and design-space sweeps
-//! that re-visit the same layer at many grid points collapse onto one
-//! evaluation per unique [`LayerKey`].
+//! ResNet-18's basic blocks, VGG's conv stacks — and requests that
+//! re-visit a layer (a warm `report`, the points of a `sweep`) collapse
+//! onto one evaluation per unique [`LayerKey`].
+//!
+//! [`run_plan_cached`] is the tier's one reader: the session's `report`,
+//! `compare` and `sweep` paths. Design-space exploration does not use it:
+//! [`crate::dse`] deduplicates layers per run in its own job table, with
+//! no lock per layer and one segment program per layer across a bandwidth
+//! axis.
 //!
 //! A lookup, fingerprint included, costs ~0.5–0.7 µs (median, release
 //! build, 2 vCPUs), against ~1.7 µs for an analytic and ~2.7 µs for an
@@ -26,7 +32,7 @@
 //! requesting layer on every hit.
 
 use bitfusion_compiler::cache::fnv1a;
-use bitfusion_compiler::{layer_fingerprint, LayerArtifactCache, LayerKey, PlannedLayer};
+use bitfusion_compiler::{layer_fingerprint, LayerArtifactCache, LayerKey};
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_energy::FusionEnergy;
 
@@ -51,42 +57,11 @@ pub fn eval_context(backend_name: &str, opts: &SimOptions) -> u64 {
     ))
 }
 
-/// Evaluates one planned layer through the layer cache: a hit returns the
-/// memoized [`LayerPerf`] (name re-stamped from `layer`), a miss runs the
-/// backend and publishes the result.
-///
-/// `fingerprint` is taken precomputed (see
-/// [`bitfusion_compiler::layer_fingerprint`]): a sweep hashes each unique
-/// plan's layers once and reuses the fingerprints at every grid point,
-/// leaving a hit to the map lookup alone; likewise `context` (see
-/// [`eval_context`]).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_layer_cached<B: SimBackend + ?Sized>(
-    backend: &B,
-    layer: &PlannedLayer,
-    fingerprint: u64,
-    batch: u64,
-    arch: &ArchConfig,
-    energy: &FusionEnergy,
-    opts: &SimOptions,
-    context: u64,
-    cache: &LayerPerfCache,
-) -> LayerPerf {
-    let key = LayerKey::of(fingerprint, arch, batch, context);
-    if let Some(mut perf) = cache.lookup(&key) {
-        // Identical twins at different depths share the entry; only the
-        // name is per-instance.
-        perf.name.clone_from(&layer.name);
-        return perf;
-    }
-    let perf = backend.evaluate_layer(layer, arch, energy, opts);
-    cache.insert(key, perf.clone());
-    perf
-}
-
 /// Evaluates a whole compiled plan through the layer cache, assembling the
 /// same [`PerfReport`] as `BitFusionSim::run_plan` — the session facade's
-/// `report`/`compare` path.
+/// `report`/`compare`/`sweep` path. Per layer, a hit returns the memoized
+/// [`LayerPerf`] (name re-stamped from the requesting layer), a miss runs
+/// the backend and publishes the result.
 pub fn run_plan_cached<B: SimBackend + ?Sized>(
     backend: &B,
     plan: &bitfusion_compiler::ExecutionPlan,
@@ -96,27 +71,27 @@ pub fn run_plan_cached<B: SimBackend + ?Sized>(
     cache: &LayerPerfCache,
 ) -> PerfReport {
     let context = eval_context(backend.name(), opts);
+    let layers = plan
+        .layers
+        .iter()
+        .map(|layer| {
+            let key = LayerKey::of(layer_fingerprint(layer), arch, plan.batch, context);
+            if let Some(mut perf) = cache.lookup(&key) {
+                // Identical twins at different depths share the entry;
+                // only the name is per-instance.
+                perf.name.clone_from(&layer.name);
+                return perf;
+            }
+            let perf = backend.evaluate_layer(layer, arch, energy, opts);
+            cache.insert(key, perf.clone());
+            perf
+        })
+        .collect();
     PerfReport {
         model_name: plan.model_name.clone(),
         batch: plan.batch,
         freq_mhz: arch.freq_mhz,
-        layers: plan
-            .layers
-            .iter()
-            .map(|l| {
-                evaluate_layer_cached(
-                    backend,
-                    l,
-                    layer_fingerprint(l),
-                    plan.batch,
-                    arch,
-                    energy,
-                    opts,
-                    context,
-                    cache,
-                )
-            })
-            .collect(),
+        layers,
     }
 }
 

@@ -22,8 +22,8 @@
 //! * [`layer_cache`] — the layer tier of the two-tier cache: memoized
 //!   per-layer evaluation results keyed on structural fingerprints, below
 //!   the model-level artifact cache;
-//! * [`sweep`] — the Figure 15/16 sensitivity sweeps, thin views over the
-//!   DSE engine, generic over the backend;
+//! * [`sweep`] — the Figure 15/16 sensitivity sweeps, one `report`-path
+//!   evaluation per point, generic over the backend;
 //! * [`dse`] — sharded design-space exploration: an
 //!   architecture-grid × network × batch sweep with a memoized compile
 //!   cache, `std::thread` workers ([`pool`]), and Pareto-frontier
@@ -53,9 +53,7 @@ pub use accelerator::BitFusionSim;
 pub use backend::{AnalyticBackend, SimBackend, BACKEND_CYCLE_TOLERANCE};
 pub use engine::{energy_for_layer, evaluate_layer, DeratedRate, SimOptions};
 pub use event::EventBackend;
-pub use layer_cache::{
-    eval_context, evaluate_layer_cached, plan_layer_sharing, run_plan_cached, LayerPerfCache,
-};
+pub use layer_cache::{eval_context, plan_layer_sharing, run_plan_cached, LayerPerfCache};
 pub use stats::{BufferOccupancy, LayerPerf, PerfReport, StallBreakdown};
 pub use dse::{
     explore, explore_with_caches, ArchSummary, DsePoint, DseResult, DseSpec, InfeasiblePoint,

@@ -2,27 +2,27 @@
 //! (Figure 16) sensitivity studies as library functions, shared by the
 //! session facade and downstream users.
 //!
-//! Both sweeps are thin views over the design-space exploration engine
-//! ([`crate::dse`]): each builds a one-axis [`DseSpec`] and projects the
-//! resulting points back into a [`Sweep`]. The bandwidth sweep inherits the
-//! engine's compile memoization for free — tiling does not depend on
-//! bandwidth, so the whole axis shares a single compilation.
+//! A sweep takes the `report` path once per point: the plan through the
+//! caller's [`ArtifactCache`] (`get_or_compile`), then
+//! [`run_plan_cached`] through the caller's layer tier. The bandwidth
+//! sweep compiles once for the whole axis — tiling does not depend on
+//! bandwidth — and evaluates each swept value's layers through the tier,
+//! so a warm repeat evaluates nothing.
 //!
 //! Every sweep is generic over the [`SimBackend`] — the cheap
 //! [`AnalyticBackend`](crate::AnalyticBackend) or the trace-driven
-//! [`EventBackend`](crate::EventBackend) — and runs through caller-owned
-//! caches of both tiers.
+//! [`EventBackend`](crate::EventBackend).
 
-use bitfusion_compiler::ArtifactCache;
+use std::collections::HashSet;
+
+use bitfusion_compiler::{layer_fingerprint, ArtifactCache, CachedPlan, CompileError, LayerKey};
 use bitfusion_core::arch::ArchConfig;
-use bitfusion_core::grid::ArchGrid;
 use bitfusion_dnn::model::Model;
-use bitfusion_dnn::quantspec::QuantSpec;
+use bitfusion_energy::FusionEnergy;
 
 use crate::backend::SimBackend;
-use crate::dse::{explore_with_caches, DseSpec, PointError};
 use crate::engine::SimOptions;
-use crate::layer_cache::LayerPerfCache;
+use crate::layer_cache::{eval_context, run_plan_cached, LayerPerfCache};
 use crate::stats::PerfReport;
 
 /// One point of a sweep: the swept value and the resulting report.
@@ -93,61 +93,101 @@ impl<T: Copy + PartialEq> Sweep<T> {
     }
 }
 
-/// Projects a one-axis exploration back into a sweep, propagating the
-/// first infeasible point as an error (a compile failure, or an invalid
-/// swept configuration such as a zero bandwidth).
-fn sweep_view<B: SimBackend + Sync + ?Sized, T>(
-    backend: &B,
-    spec: &DseSpec,
-    cache: &ArtifactCache,
-    layer_cache: &LayerPerfCache,
-    value_of: impl Fn(&crate::dse::DsePoint) -> T,
-) -> Result<Sweep<T>, bitfusion_compiler::CompileError> {
-    let result = explore_with_caches(spec, backend, 1, cache, layer_cache);
-    if let Some(bad) = result.infeasible.first() {
-        return Err(match &bad.error {
-            PointError::Compile(e) => e.clone(),
-            PointError::InvalidConfig(e) => {
-                bitfusion_compiler::CompileError::InvalidArch(e.clone())
-            }
-            // Sweeps always run at the paper quantization, which applies
-            // to every model.
-            PointError::Quant(e) => unreachable!("paper quantization failed: {e}"),
-        });
+/// Runs a sweep's points down the `report` path and accumulates them with
+/// the sweep's spec-level layer counters.
+struct SweepRun<'a, B: ?Sized, T> {
+    backend: &'a B,
+    options: SimOptions,
+    energy: FusionEnergy,
+    layer_cache: &'a LayerPerfCache,
+    context: u64,
+    points: Vec<SweepPoint<T>>,
+    layer_evals: u64,
+    layer_keys: HashSet<LayerKey>,
+    /// The layer fingerprints of the last point's plan, and its batch:
+    /// model and geometry are fixed within a sweep, so the batch names
+    /// the plan, and a bandwidth axis hashes its one plan once.
+    fingerprints: Vec<u64>,
+    fingerprints_of: Option<u64>,
+}
+
+impl<'a, B: SimBackend + ?Sized, T> SweepRun<'a, B, T> {
+    fn new(backend: &'a B, options: SimOptions, layer_cache: &'a LayerPerfCache) -> Self {
+        SweepRun {
+            backend,
+            options,
+            energy: FusionEnergy::isca_45nm(),
+            layer_cache,
+            context: eval_context(backend.name(), &options),
+            points: Vec::new(),
+            layer_evals: 0,
+            layer_keys: HashSet::new(),
+            fingerprints: Vec::new(),
+            fingerprints_of: None,
+        }
     }
-    Ok(Sweep {
-        model_name: spec.models[0].name.clone(),
-        layer_evals: result.layer_evals,
-        layer_unique: result.layer_unique,
-        points: result
-            .points
-            .into_iter()
-            .map(|p| {
-                let value = value_of(&p);
-                SweepPoint {
-                    value,
-                    report: p.report,
-                }
-            })
-            .collect(),
-    })
+
+    /// Evaluates the cached plan on `arch` through the layer tier as the
+    /// point at `value`, or returns the plan's compile failure.
+    fn point(
+        &mut self,
+        value: T,
+        cached: &CachedPlan,
+        arch: &ArchConfig,
+    ) -> Result<(), CompileError> {
+        let plan = cached.as_ref().as_ref().map_err(Clone::clone)?;
+        self.layer_evals += plan.layers.len() as u64;
+        if self.fingerprints_of != Some(plan.batch) {
+            self.fingerprints = plan.layers.iter().map(layer_fingerprint).collect();
+            self.fingerprints_of = Some(plan.batch);
+        }
+        for &fp in &self.fingerprints {
+            self.layer_keys
+                .insert(LayerKey::of(fp, arch, plan.batch, self.context));
+        }
+        let report = run_plan_cached(
+            self.backend,
+            plan,
+            arch,
+            &self.energy,
+            &self.options,
+            self.layer_cache,
+        );
+        self.points.push(SweepPoint { value, report });
+        Ok(())
+    }
+
+    fn finish(self, model: &Model) -> Sweep<T> {
+        Sweep {
+            model_name: model.name.clone(),
+            points: self.points,
+            layer_evals: self.layer_evals,
+            layer_unique: self.layer_keys.len() as u64,
+        }
+    }
+}
+
+/// Rejects a swept configuration that fails validation (e.g. a zero
+/// bandwidth) before it reaches the compiler.
+fn check(arch: &ArchConfig) -> Result<(), CompileError> {
+    arch.validate().map_err(CompileError::InvalidArch)
 }
 
 /// Sweeps off-chip bandwidth (bits/cycle) at a fixed batch size (Figure 15)
 /// on `backend`, through caller-owned caches of both tiers. The whole axis
-/// resolves to one artifact key (tiling ignores bandwidth), so a warm
-/// `cache` makes the sweep compilation-free; per-layer evaluations resolve
-/// through `layer_cache` (bandwidth *is* part of the layer key, so each
-/// swept value evaluates its own layers — sharing comes from repeated
-/// shapes and warm caches).
+/// resolves to one artifact key (tiling ignores bandwidth), so it compiles
+/// at most once, and a warm `cache` makes the sweep compilation-free;
+/// per-layer evaluations resolve through `layer_cache` (bandwidth *is*
+/// part of the layer key, so each swept value evaluates its own layers —
+/// sharing comes from repeated shapes and warm caches).
 ///
 /// # Errors
 ///
-/// Propagates compilation failures, and rejects invalid swept
-/// configurations (e.g. a zero bandwidth) as
-/// [`CompileError::InvalidArch`](bitfusion_compiler::CompileError).
+/// Stops at the first swept value that fails: an invalid configuration
+/// (e.g. a zero bandwidth) as [`CompileError::InvalidArch`], or the
+/// compilation failure.
 #[allow(clippy::too_many_arguments)]
-pub fn bandwidth_sweep<B: SimBackend + Sync + ?Sized>(
+pub fn bandwidth_sweep<B: SimBackend + ?Sized>(
     backend: &B,
     base_arch: &ArchConfig,
     model: &Model,
@@ -156,20 +196,16 @@ pub fn bandwidth_sweep<B: SimBackend + Sync + ?Sized>(
     options: SimOptions,
     cache: &ArtifactCache,
     layer_cache: &LayerPerfCache,
-) -> Result<Sweep<u32>, bitfusion_compiler::CompileError> {
-    let spec = DseSpec {
-        grid: ArchGrid {
-            dram_bits_per_cycle: bandwidths.to_vec(),
-            ..ArchGrid::from_base(base_arch.clone())
-        },
-        models: vec![model.clone()],
-        quant_specs: vec![QuantSpec::paper()],
-        batches: vec![batch],
-        options,
-    };
-    sweep_view(backend, &spec, cache, layer_cache, |p| {
-        p.arch.dram_bits_per_cycle
-    })
+) -> Result<Sweep<u32>, CompileError> {
+    let mut sweep = SweepRun::new(backend, options, layer_cache);
+    let mut cached: Option<CachedPlan> = None;
+    for &bw in bandwidths {
+        let arch = base_arch.clone().with_bandwidth(bw);
+        check(&arch)?;
+        let cached = cached.get_or_insert_with(|| cache.get_or_compile(model, &arch, batch));
+        sweep.point(bw, cached, &arch)?;
+    }
+    Ok(sweep.finish(model))
 }
 
 /// Sweeps batch size at a fixed architecture (Figure 16) on `backend`,
@@ -177,8 +213,9 @@ pub fn bandwidth_sweep<B: SimBackend + Sync + ?Sized>(
 ///
 /// # Errors
 ///
-/// Propagates compilation failures.
-pub fn batch_sweep<B: SimBackend + Sync + ?Sized>(
+/// Rejects an invalid `arch` as [`CompileError::InvalidArch`], and stops
+/// at the first batch that fails to compile.
+pub fn batch_sweep<B: SimBackend + ?Sized>(
     backend: &B,
     arch: &ArchConfig,
     model: &Model,
@@ -186,15 +223,15 @@ pub fn batch_sweep<B: SimBackend + Sync + ?Sized>(
     options: SimOptions,
     cache: &ArtifactCache,
     layer_cache: &LayerPerfCache,
-) -> Result<Sweep<u64>, bitfusion_compiler::CompileError> {
-    let spec = DseSpec {
-        grid: ArchGrid::from_base(arch.clone()),
-        models: vec![model.clone()],
-        quant_specs: vec![QuantSpec::paper()],
-        batches: batches.to_vec(),
-        options,
-    };
-    sweep_view(backend, &spec, cache, layer_cache, |p| p.batch)
+) -> Result<Sweep<u64>, CompileError> {
+    let mut sweep = SweepRun::new(backend, options, layer_cache);
+    for &batch in batches {
+        // Checked per point, like the bandwidth axis: an empty axis is an
+        // empty sweep.
+        check(arch)?;
+        sweep.point(batch, &cache.get_or_compile(model, arch, batch), arch)?;
+    }
+    Ok(sweep.finish(model))
 }
 
 #[cfg(test)]
@@ -279,41 +316,53 @@ mod tests {
 
     #[test]
     fn tiered_sweep_reuses_layer_results_across_runs() {
+        // The contract the benchmark's traced mirror checks: a cold sweep
+        // evaluates each of its unique layer keys once through the tier,
+        // and a warm repeat evaluates nothing.
         let arch = ArchConfig::isca_45nm();
         let model = Benchmark::ResNet18.model();
+        let opts = SimOptions::default();
+        for backend in [&AnalyticBackend as &dyn SimBackend, &EventBackend] {
+            check_tier_fills(backend.name(), |cache, layers| {
+                bandwidth_sweep(backend, &arch, &model, 16, &[64, 128], opts, cache, layers)
+                    .unwrap()
+            });
+            check_tier_fills(backend.name(), |cache, layers| {
+                batch_sweep(backend, &arch, &model, &[1, 16], opts, cache, layers).unwrap()
+            });
+        }
+    }
+
+    /// Runs a sweep cold, then warm, through one pair of caches.
+    fn check_tier_fills<T: Copy + PartialEq>(
+        name: &str,
+        run: impl Fn(&ArtifactCache, &LayerPerfCache) -> Sweep<T>,
+    ) {
         let cache = ArtifactCache::default();
         let layer_cache = LayerPerfCache::default();
-        let opts = SimOptions::default();
-        let run = || {
-            bandwidth_sweep(
-                &AnalyticBackend,
-                &arch,
-                &model,
-                16,
-                &[64, 128],
-                opts,
-                &cache,
-                &layer_cache,
-            )
-            .unwrap()
-        };
-        let cold = run();
-        assert!(cold.spec_layer_hits() > 0, "ResNet-18 repeats shapes");
-        assert_eq!(layer_cache.stats().misses, cold.layer_unique);
-        let misses_after_cold = layer_cache.stats().misses;
-        let warm = run();
+        let cold = run(&cache, &layer_cache);
+        assert!(
+            cold.spec_layer_hits() > 0,
+            "{name}: ResNet-18 repeats shapes"
+        );
         assert_eq!(
             layer_cache.stats().misses,
-            misses_after_cold,
-            "no re-evaluation"
+            cold.layer_unique,
+            "{name}: cold"
+        );
+        let warm = run(&cache, &layer_cache);
+        assert_eq!(
+            layer_cache.stats().misses,
+            cold.layer_unique,
+            "{name}: warm adds no miss"
         );
         assert_eq!(
             warm.layer_evals, cold.layer_evals,
-            "counters are warmth-independent"
+            "{name}: warmth-independent"
         );
-        assert_eq!(warm.layer_unique, cold.layer_unique);
+        assert_eq!(warm.layer_unique, cold.layer_unique, "{name}");
         for (a, b) in cold.points.iter().zip(&warm.points) {
-            assert_eq!(a.report, b.report, "warmth must never change bytes");
+            assert_eq!(a.report, b.report, "{name}: warmth must never change bytes");
         }
     }
 

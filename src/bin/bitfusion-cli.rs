@@ -770,13 +770,21 @@ fn run_client_pipeline(connect: Option<&str>, unix: Option<&str>) -> ExitCode {
      -> std::io::Result<u64> {
         let mut responses = BufReader::new(reader);
         let mut errors = 0u64;
-        for line in std::io::stdin().lock().lines() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() {
+        let mut stdin = std::io::stdin().lock();
+        let mut raw = Vec::new();
+        // Lines are forwarded as raw bytes: a line that is not UTF-8 is
+        // the server's to answer (with an error in its slot), not a reason
+        // to drop the rest of the pipeline. Blank lines are skipped by the
+        // server's rule, since it sends no reply for them.
+        loop {
+            raw.clear();
+            if stdin.read_until(b'\n', &mut raw)? == 0 {
+                break;
+            }
+            if std::str::from_utf8(&raw).is_ok_and(|text| text.trim().is_empty()) {
                 continue;
             }
-            writer.write_all(line.as_bytes())?;
+            writer.write_all(raw.trim_ascii())?;
             writer.write_all(b"\n")?;
             writer.flush()?;
             let mut reply = String::new();

@@ -503,6 +503,36 @@ fn network_serve_over_unix_socket_matches_one_shot() {
     }
     assert!(!stats_line.contains("time\""), "no timestamps: {stats_line}");
 
+    // A keep-alive pipeline forwards a non-UTF-8 line for the server to
+    // answer in its slot, and goes on with the next request. The error
+    // reply makes the exit code 1.
+    let list = run(&["list", "--json"]);
+    let mut pipe = Command::new(BIN)
+        .args(["client", "--unix", &sock_str, "--keep-alive"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("client spawns");
+    pipe.stdin
+        .take()
+        .unwrap()
+        .write_all(b"{\"cmd\":\"list\"}\n\xff\n{\"cmd\":\"list\"}\n")
+        .unwrap();
+    let piped = pipe.wait_with_output().unwrap();
+    assert_eq!(piped.status.code(), Some(1), "{}", stderr_of(&piped));
+    assert_eq!(stderr_of(&piped), "", "no client I/O error");
+    let replies = stdout_of(&piped);
+    let replies: Vec<&str> = replies.lines().collect();
+    assert_eq!(
+        replies,
+        [
+            stdout_of(&list).trim_end(),
+            r#"{"reply":"error","message":"request line is not UTF-8"}"#,
+            stdout_of(&list).trim_end(),
+        ]
+    );
+
     // Admin shutdown over the unix socket: acknowledged, then the server
     // drains, prints its two-tier cache summary, and exits cleanly.
     let bye = run(&["client", "--unix", &sock_str, r#"{"cmd":"shutdown"}"#]);
