@@ -6,7 +6,9 @@
 //! minimize this (Figure 12's `IC×` reduction in output traffic is exactly
 //! the partial-sum spill arithmetic below). The six orders have only three
 //! distinct costs, so [`class_traffic`] costs a tile once per class and
-//! [`traffic`] looks one order up in it.
+//! [`traffic`] looks one order up in it. Both are built on the factor form
+//! the tile search uses directly: per-dimension [`Axis`] factors and a
+//! [`RowTraffic`] holding everything that does not depend on the `n` tile.
 
 use crate::gemm::GemmLayer;
 use crate::tiling::{LoopOrder, TileSizes};
@@ -42,10 +44,6 @@ impl Traffic {
     }
 }
 
-fn trips(dim: u64, tile: u64) -> u64 {
-    dim.div_ceil(tile)
-}
-
 /// One order of each cost class, in [`LoopOrder::ALL`] priority: entry `i`
 /// of [`class_traffic`] is the traffic of `CLASS_ORDERS[i]`.
 ///
@@ -67,75 +65,137 @@ const fn class_of(order: LoopOrder) -> usize {
     }
 }
 
+/// One tile dimension as the traffic model reads it: the tile, its trip
+/// count and its pad factor. Each depends on that dimension alone, so the
+/// tile search builds them once per candidate, not once per tile.
+#[derive(Debug, Clone, Copy)]
+pub struct Axis {
+    /// Tile size along the dimension.
+    pub tile: u64,
+    /// Tile-loop trip count, `⌈dim / tile⌉`.
+    pub trips: u64,
+    /// Padded over true extent, `trips·tile / dim` (never below 1.0).
+    pub pad: f64,
+}
+
+impl Axis {
+    /// The factors of tiling a dimension of `dim` elements by `tile`.
+    pub fn new(dim: u64, tile: u64) -> Self {
+        let trips = dim.div_ceil(tile);
+        // DMAs move whole tiles, so dimensions that do not divide evenly pad
+        // to the tile boundary — charging that padding here steers the
+        // search away from wasteful tile sizes and keeps the model
+        // consistent with the emitted `ld-mem` word counts.
+        Axis {
+            tile,
+            trips,
+            pad: (trips * tile) as f64 / dim as f64,
+        }
+    }
+}
+
+/// The traffic model of one layer with its `m` and `k` tiles fixed: every
+/// factor that does not involve `n`, with each f64 product kept in the
+/// association order of the full formula, so [`RowTraffic::classes`]
+/// returns the same bits however the row was reached.
+#[derive(Debug, Clone, Copy)]
+pub struct RowTraffic {
+    w0: f64,
+    pad_m: f64,
+    pad_k: f64,
+    /// Input bits before the `n` padding, per class-0/2 traversal (the
+    /// panel reloaded once per m tile) and per single traversal.
+    i_per_m: f64,
+    i_once: f64,
+    i_pad: f64,
+    /// Output bits before the `n` padding.
+    o_m: f64,
+    spill_bits: u64,
+}
+
+impl RowTraffic {
+    /// The `n`-independent factors of `layer` tiled by `m` and `k`.
+    pub fn new(layer: &GemmLayer, m: &Axis, k: &Axis) -> Self {
+        // Weights [m, k]: each (m,k) tile holds m_t*k_t*w_bits; the whole
+        // tensor is reloaded once per n tile when n is outside the deepest
+        // (m, k) loop.
+        let w0 = layer.weight_elems as f64 * layer.pair.weight.bits() as f64;
+
+        // Inputs: charged on unique elements per full traversal (window
+        // reuse is buffered on chip; see `GemmLayer::unique_input_elems`).
+        // An ordinary GEMM shares one [k, n] input panel across all output
+        // rows, reloaded once per m tile when m is outside the deepest
+        // (k, n) loop; a depthwise layer's rows each read their *own*
+        // channel's window, so its input tensor is indexed by every tile
+        // dimension — each (m, k, n) tile touches distinct inputs, loaded
+        // exactly once per traversal but padded along m as well.
+        let (m_reloads, i_pad) = if layer.depthwise {
+            (1, m.pad)
+        } else {
+            (m.trips, 1.0)
+        };
+        let i0 = layer.unique_input_elems as f64 * layer.pair.input.bits() as f64;
+
+        // Outputs [m, n]: stored once at the requantized width; spilled as
+        // 32-bit partials whenever the k loop is outside the deepest (m, n)
+        // loop, i.e. the same output tile is revisited tk times
+        // non-adjacently.
+        let spill_bits = if k.trips > 1 {
+            // One 32-bit load + store of the partial tile per k visit (the
+            // emitted blocks reload/flush unconditionally; the final
+            // visit's store doubles as the output store).
+            2 * k.trips * layer.output_elems * 32
+        } else {
+            0
+        };
+        RowTraffic {
+            w0,
+            pad_m: m.pad,
+            pad_k: k.pad,
+            i_per_m: i0 * m_reloads as f64 * k.pad,
+            i_once: i0 * 1.0 * k.pad,
+            i_pad,
+            o_m: layer.output_elems as f64 * layer.output_bits as f64 * m.pad,
+            spill_bits,
+        }
+    }
+
+    /// The traffic of this row's tile along `n` under each cost class, in
+    /// [`CLASS_ORDERS`] order.
+    ///
+    /// Every term is a product of non-negative factors truncated by
+    /// `as u64`, and `n` enters only through `n.trips` (weights, classes 0
+    /// and 1) and `n.pad` (inputs, outputs). Both IEEE multiplication by a
+    /// non-negative number and the truncation are monotone, so an `n` axis
+    /// with fewer trips or less padding never costs more: that is the
+    /// tile search's exact lower bound.
+    pub fn classes(&self, n: &Axis) -> [Traffic; 3] {
+        let weight_bits =
+            |reloads: u64| (self.w0 * reloads as f64 * self.pad_m * self.pad_k) as u64;
+        let input_bits = |per_k: f64| (per_k * n.pad * self.i_pad) as u64;
+        let output_bits = (self.o_m * n.pad) as u64;
+        let w_per_n = weight_bits(n.trips);
+        let i_m = input_bits(self.i_per_m);
+        let traffic = |weight_bits, input_bits, spill_bits| Traffic {
+            weight_bits,
+            input_bits,
+            output_bits,
+            spill_bits,
+        };
+        [
+            traffic(w_per_n, i_m, 0),
+            traffic(w_per_n, input_bits(self.i_once), self.spill_bits),
+            traffic(weight_bits(1), i_m, self.spill_bits),
+        ]
+    }
+}
+
 /// Computes the off-chip traffic of a tiled GEMM under each cost class, in
-/// [`CLASS_ORDERS`] order. The order-independent terms (trip counts,
-/// padding, per-tensor base bits, output bits, spill) are computed once.
+/// [`CLASS_ORDERS`] order.
 pub fn class_traffic(layer: &GemmLayer, tiles: TileSizes) -> [Traffic; 3] {
     let s = layer.shape;
-    let (tm, tk, tn) = (
-        trips(s.m, tiles.m),
-        trips(s.k, tiles.k),
-        trips(s.n, tiles.n),
-    );
-
-    // DMAs move whole tiles, so dimensions that do not divide evenly pad to
-    // the tile boundary — charging that padding here steers the search away
-    // from wasteful tile sizes and keeps the model consistent with the
-    // emitted `ld-mem` word counts.
-    let pad = |dim: u64, trip: u64, tile: u64| (trip * tile) as f64 / dim as f64;
-    let pad_m = pad(s.m, tm, tiles.m);
-    let pad_k = pad(s.k, tk, tiles.k);
-    let pad_n = pad(s.n, tn, tiles.n);
-
-    // Weights [m, k]: each (m,k) tile holds m_t*k_t*w_bits; the whole
-    // tensor is reloaded once per n tile when n is outside the deepest
-    // (m, k) loop.
-    let w0 = layer.weight_elems as f64 * layer.pair.weight.bits() as f64;
-    let weight_bits = |reloads: u64| (w0 * reloads as f64 * pad_m * pad_k) as u64;
-
-    // Inputs: charged on unique elements per full traversal (window reuse
-    // is buffered on chip; see `GemmLayer::unique_input_elems`). An
-    // ordinary GEMM shares one [k, n] input panel across all output rows,
-    // reloaded once per m tile when m is outside the deepest (k, n) loop;
-    // a depthwise layer's rows each read their *own* channel's window, so
-    // its input tensor is indexed by every tile dimension — each (m, k, n)
-    // tile touches distinct inputs, loaded exactly once per traversal but
-    // padded along m as well.
-    let (m_reloads, i_pad) = if layer.depthwise {
-        (1, pad_m)
-    } else {
-        (tm, 1.0)
-    };
-    let i0 = layer.unique_input_elems as f64 * layer.pair.input.bits() as f64;
-    let input_bits = |reloads: u64| (i0 * reloads as f64 * pad_k * pad_n * i_pad) as u64;
-
-    // Outputs [m, n]: stored once at the requantized width; spilled as
-    // 32-bit partials whenever the k loop is outside the deepest (m, n)
-    // loop, i.e. the same output tile is revisited tk times non-adjacently.
-    let output_bits =
-        (layer.output_elems as f64 * layer.output_bits as f64 * pad_m * pad_n) as u64;
-    let spill_bits = if tk > 1 {
-        // One 32-bit load + store of the partial tile per k visit (the
-        // emitted blocks reload/flush unconditionally; the final visit's
-        // store doubles as the output store).
-        2 * tk * layer.output_elems * 32
-    } else {
-        0
-    };
-
-    let w_per_n = weight_bits(tn);
-    let i_per_m = input_bits(m_reloads);
-    let traffic = |weight_bits, input_bits, spill_bits| Traffic {
-        weight_bits,
-        input_bits,
-        output_bits,
-        spill_bits,
-    };
-    [
-        traffic(w_per_n, i_per_m, 0),
-        traffic(w_per_n, input_bits(1), spill_bits),
-        traffic(weight_bits(1), i_per_m, spill_bits),
-    ]
+    RowTraffic::new(layer, &Axis::new(s.m, tiles.m), &Axis::new(s.k, tiles.k))
+        .classes(&Axis::new(s.n, tiles.n))
 }
 
 /// Computes the off-chip traffic of a tiled GEMM under one loop order.
@@ -177,9 +237,9 @@ mod tests {
     fn reference_traffic(layer: &GemmLayer, tiles: TileSizes, order: LoopOrder) -> Traffic {
         let s = layer.shape;
         let t = [
-            trips(s.m, tiles.m),
-            trips(s.k, tiles.k),
-            trips(s.n, tiles.n),
+            s.m.div_ceil(tiles.m),
+            s.k.div_ceil(tiles.k),
+            s.n.div_ceil(tiles.n),
         ];
         let (tm, tk, tn) = (t[0], t[1], t[2]);
         let pad = |dim: u64, trip: u64, tile: u64| (trip * tile) as f64 / dim as f64;

@@ -8,9 +8,11 @@
 //! loop-ordering code optimizations (§IV-B), including the
 //! input/output/weight-stationary choice.
 
+use std::cmp::Reverse;
+
 use bitfusion_core::arch::ArchConfig;
 
-use crate::cost::{class_traffic, Traffic, CLASS_ORDERS};
+use crate::cost::{Axis, RowTraffic, Traffic, CLASS_ORDERS};
 use crate::error::CompileError;
 use crate::gemm::GemmLayer;
 
@@ -118,12 +120,21 @@ pub struct TilePlan {
 /// (the same split the lowering emits). Returns 0 when the group carries no
 /// residual.
 pub fn residual_tile_bits(layer: &GemmLayer, tiles: TileSizes, residual_bits: u64) -> u64 {
+    let s = layer.shape;
+    residual_split(
+        layer,
+        s.k.div_ceil(tiles.k),
+        s.n.div_ceil(tiles.n),
+        residual_bits,
+    )
+}
+
+/// [`residual_tile_bits`] from the `k` and `n` trip counts.
+fn residual_split(layer: &GemmLayer, tk: u64, tn: u64, residual_bits: u64) -> u64 {
     if residual_bits == 0 {
         return 0;
     }
     let i_bits = layer.pair.input.bits() as u64;
-    let tk = layer.shape.k.div_ceil(tiles.k);
-    let tn = layer.shape.n.div_ceil(tiles.n);
     residual_bits.div_ceil(i_bits).div_ceil(tk * tn).max(1) * i_bits
 }
 
@@ -132,21 +143,53 @@ pub fn residual_tile_bits(layer: &GemmLayer, tiles: TileSizes, residual_bits: u6
 /// fused residual stream, which rides the input buffer and must share its
 /// double-buffered halves with the regular input tiles.
 pub fn fits(layer: &GemmLayer, tiles: TileSizes, arch: &ArchConfig, residual_bits: u64) -> bool {
-    let w_bits = tiles.m * tiles.k * layer.pair.weight.bits() as u64;
-    // A depthwise tile carries one input panel *per output row* (each
-    // channel reduces over its own window), so the resident input grows
-    // with the m tile instead of being shared across it.
-    let i_elems = if layer.depthwise {
-        tiles.m * tiles.k * tiles.n
-    } else {
-        tiles.k * tiles.n
-    };
-    let i_bits =
-        i_elems * layer.pair.input.bits() as u64 + residual_tile_bits(layer, tiles, residual_bits);
-    let o_bits = tiles.m * tiles.n * 32;
-    w_bits <= (arch.wbuf_bytes as u64) * 8 / 2
-        && i_bits <= (arch.ibuf_bytes as u64) * 8 / 2
-        && o_bits <= (arch.obuf_bytes as u64) * 8
+    let s = layer.shape;
+    Budget::of(arch).admits(
+        layer,
+        &Axis::new(s.m, tiles.m),
+        &Axis::new(s.k, tiles.k),
+        &Axis::new(s.n, tiles.n),
+        residual_bits,
+    )
+}
+
+/// The scratchpad capacities a tile must fit, in bits.
+struct Budget {
+    /// Half of WBUF (double-buffered).
+    weight: u64,
+    /// Half of IBUF (double-buffered).
+    input: u64,
+    /// All of OBUF.
+    output: u64,
+}
+
+impl Budget {
+    fn of(arch: &ArchConfig) -> Self {
+        Budget {
+            weight: (arch.wbuf_bytes as u64) * 8 / 2,
+            input: (arch.ibuf_bytes as u64) * 8 / 2,
+            output: (arch.obuf_bytes as u64) * 8,
+        }
+    }
+
+    /// [`fits`] over prebuilt axes. Every term only grows with each tile
+    /// dimension (a larger `k` or `n` tile also means fewer trips, so a
+    /// larger residual share), so this is monotone in all three.
+    fn admits(&self, layer: &GemmLayer, m: &Axis, k: &Axis, n: &Axis, residual_bits: u64) -> bool {
+        let w_bits = m.tile * k.tile * layer.pair.weight.bits() as u64;
+        // A depthwise tile carries one input panel *per output row* (each
+        // channel reduces over its own window), so the resident input grows
+        // with the m tile instead of being shared across it.
+        let i_elems = if layer.depthwise {
+            m.tile * k.tile * n.tile
+        } else {
+            k.tile * n.tile
+        };
+        let i_bits = i_elems * layer.pair.input.bits() as u64
+            + residual_split(layer, k.trips, n.trips, residual_bits);
+        let o_bits = m.tile * n.tile * 32;
+        w_bits <= self.weight && i_bits <= self.input && o_bits <= self.output
+    }
 }
 
 /// Tile candidates along one dimension, ascending: powers of two scaled
@@ -156,6 +199,64 @@ fn candidates(dim: u64, quantum: u64) -> impl Iterator<Item = u64> {
         .take_while(move |&v| v < dim)
         .chain(std::iter::once(dim))
 }
+
+/// Most tile candidates a dimension can have: every power of two a `u64`
+/// holds, then the full dimension.
+const MAX_CANDIDATES: usize = 65;
+
+/// A dimension's [`candidates`], each with its trip count and pad factor.
+struct Candidates {
+    len: usize,
+    axes: [Axis; MAX_CANDIDATES],
+}
+
+impl Candidates {
+    fn new(dim: u64, quantum: u64) -> Self {
+        let mut c = Candidates {
+            len: 0,
+            axes: [Axis {
+                tile: 0,
+                trips: 0,
+                pad: 0.0,
+            }; MAX_CANDIDATES],
+        };
+        for tile in candidates(dim, quantum) {
+            c.axes[c.len] = Axis::new(dim, tile);
+            c.len += 1;
+        }
+        c
+    }
+
+    fn as_slice(&self) -> &[Axis] {
+        &self.axes[..self.len]
+    }
+}
+
+/// A lower bound on the total bits of every fitting tile in the `(m, k)`
+/// row whose smallest `n` tile, `ns[0]`, fits: the row's [`RowTraffic`]
+/// costed at the fewest `n` trips the buffers could admit and no `n`
+/// padding, minimized over the classes.
+fn row_bound(layer: &GemmLayer, budget: &Budget, m: &Axis, k: &Axis, ns: &[Axis]) -> u64 {
+    // The widest n tile the buffers admit without the residual share
+    // bounds every fitting n tile from above, so its trip count bounds
+    // their trips from below.
+    let widest = ns[1..].partition_point(|n| budget.admits(layer, m, k, n, 0));
+    let relaxed = Axis {
+        pad: 1.0,
+        ..ns[widest]
+    };
+    RowTraffic::new(layer, m, k)
+        .classes(&relaxed)
+        .iter()
+        .map(Traffic::total_bits)
+        .min()
+        .expect("three classes")
+}
+
+/// The tie-break key of one costed tile: lower total bits, then the larger
+/// volume, then the earlier scan index `(m, k, n, class)` — candidate
+/// indices ascending, classes in [`CLASS_ORDERS`] order.
+type RankKey = (u64, Reverse<u64>, [usize; 4]);
 
 /// Searches tile sizes and loop orders for the minimum-traffic plan that
 /// fits the buffers.
@@ -175,11 +276,19 @@ fn candidates(dim: u64, quantum: u64) -> impl Iterator<Item = u64> {
 /// 3. then the earlier candidate: tiles scanned `m` → `k` → `n`, each
 ///    ascending, and orders in [`LoopOrder::ALL`] order.
 ///
-/// Two exact facts keep the search cheap without changing that answer.
-/// [`fits`] only turns false as a tile dimension grows, so each loop stops
-/// at its first tile that does not fit. And the six orders share three
-/// costs ([`class_traffic`]), so each tile is costed once per class, with
-/// the class's first order in `ALL` standing for it.
+/// Four exact facts keep the search cheap without changing that answer.
+/// [`fits`] only turns false as a tile dimension grows, so a row of `n`
+/// tiles stops at its first tile that does not fit, and the `(m_t, k_t)`
+/// rows stop where their smallest `n` tile misses. The six orders share
+/// three costs ([`class_traffic`](crate::cost::class_traffic)), so each
+/// tile is costed once per class, with the class's first order in `ALL`
+/// standing for it. Each candidate's trip count and pad factor depend on
+/// its own dimension alone, so they are built once per call ([`Axis`]). And each `(m_t, k_t)` row has a
+/// lower bound on the bits of any of its tiles: its [`RowTraffic`] costed
+/// at the fewest `n` trips the buffers could admit and no `n` padding.
+/// Rows are visited in ascending bound order and the search stops at the
+/// first row whose bound is strictly above the best total; the tie-break
+/// is an explicit key, so the visit order cannot change the answer.
 ///
 /// # Errors
 ///
@@ -193,53 +302,77 @@ pub fn choose_tiling(
     let lanes = (arch.rows as u64) * layer.pair.fused_pes_per_unit() as u64;
     let cols = arch.cols as u64;
     let s = layer.shape;
-    let mut best: Option<TilePlan> = None;
-    'm: for m_t in candidates(s.m, cols) {
-        for (ki, k_t) in candidates(s.k, lanes).enumerate() {
-            for (ni, n_t) in candidates(s.n, 1).enumerate() {
-                let tiles = TileSizes { m: m_t, k: k_t, n: n_t };
-                if !fits(layer, tiles, arch, residual_bits) {
-                    // Every larger tile along a dimension misses too: stop
-                    // n here, k if this was its smallest n, and m if this
-                    // was also its smallest k.
-                    match (ki, ni) {
-                        (0, 0) => break 'm,
-                        (_, 0) => continue 'm,
-                        _ => break,
-                    }
+    let budget = Budget::of(arch);
+    let (ms, ks, ns) = (
+        Candidates::new(s.m, cols),
+        Candidates::new(s.k, lanes),
+        Candidates::new(s.n, 1),
+    );
+    let (ms, ks, ns) = (ms.as_slice(), ks.as_slice(), ns.as_slice());
+
+    // Every (m, k) row whose smallest n tile fits, with its lower bound.
+    let mut rows: Vec<(u64, usize, usize)> = Vec::with_capacity(ms.len() * ks.len());
+    'm: for (mi, m) in ms.iter().enumerate() {
+        for (ki, k) in ks.iter().enumerate() {
+            if !budget.admits(layer, m, k, &ns[0], residual_bits) {
+                // Every larger k misses too, and so does every larger m if
+                // this was the smallest k.
+                if ki == 0 {
+                    break 'm;
                 }
-                for (order, t) in CLASS_ORDERS.into_iter().zip(class_traffic(layer, tiles)) {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => {
-                            t.total_bits() < b.traffic.total_bits()
-                                || (t.total_bits() == b.traffic.total_bits()
-                                    && (tiles.m * tiles.k * tiles.n)
-                                        > (b.tiles.m * b.tiles.k * b.tiles.n))
-                        }
-                    };
-                    if better {
-                        best = Some(TilePlan {
+                continue 'm;
+            }
+            rows.push((row_bound(layer, &budget, m, k, ns), mi, ki));
+        }
+    }
+    rows.sort_unstable();
+
+    let mut best: Option<(RankKey, TilePlan)> = None;
+    for (bound, mi, ki) in rows {
+        if best.as_ref().is_some_and(|(key, _)| bound > key.0) {
+            break; // every later row's bound is at least as high
+        }
+        let (m, k) = (&ms[mi], &ks[ki]);
+        let row = RowTraffic::new(layer, m, k);
+        for (ni, n) in ns.iter().enumerate() {
+            if !budget.admits(layer, m, k, n, residual_bits) {
+                break;
+            }
+            let tiles = TileSizes {
+                m: m.tile,
+                k: k.tile,
+                n: n.tile,
+            };
+            let volume = Reverse(tiles.m * tiles.k * tiles.n);
+            for (class, (order, traffic)) in
+                CLASS_ORDERS.into_iter().zip(row.classes(n)).enumerate()
+            {
+                let key = (traffic.total_bits(), volume, [mi, ki, ni, class]);
+                if best.as_ref().is_none_or(|(b, _)| key < *b) {
+                    best = Some((
+                        key,
+                        TilePlan {
                             tiles,
                             order,
-                            traffic: t,
-                        });
-                    }
+                            traffic,
+                        },
+                    ));
                 }
             }
         }
     }
-    best.ok_or(CompileError::NoFeasibleTiling {
-        m: s.m,
-        k: s.k,
-        n: s.n,
-    })
+    best.map(|(_, plan)| plan)
+        .ok_or(CompileError::NoFeasibleTiling {
+            m: s.m,
+            k: s.k,
+            n: s.n,
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::traffic;
+    use crate::cost::{class_traffic, traffic};
     use crate::fuse::PostOp;
     use crate::gemm::GemmShape;
     use crate::plan::compile;
@@ -463,6 +596,167 @@ mod tests {
         }
         let cases = assert_zoo_matches_oracle(&gemms, &archs);
         println!("zoo oracle sweep: {cases} cases agree");
+    }
+
+    /// How the winning (total bits, volume) is shared, from the exhaustive
+    /// scan: by several tiles, by several classes, and whether a tied
+    /// winner scanned later sits in a row with a strictly lower
+    /// [`row_bound`] than the first winner's — so the search visits it
+    /// first and only the scan-index part of the key keeps the answer.
+    #[derive(Debug, Default)]
+    struct Ties {
+        tiles: bool,
+        classes: bool,
+        out_of_scan_order: bool,
+    }
+
+    fn winner_ties(layer: &GemmLayer, arch: &ArchConfig, residual_bits: u64) -> Ties {
+        let lanes = (arch.rows as u64) * layer.pair.fused_pes_per_unit() as u64;
+        let s = layer.shape;
+        let mut costed = Vec::new();
+        for m in candidates(s.m, arch.cols as u64) {
+            for k in candidates(s.k, lanes) {
+                for n in candidates(s.n, 1) {
+                    let tiles = TileSizes { m, k, n };
+                    if fits(layer, tiles, arch, residual_bits) {
+                        for (class, t) in class_traffic(layer, tiles).into_iter().enumerate() {
+                            costed.push((t.total_bits(), Reverse(m * k * n), tiles, class));
+                        }
+                    }
+                }
+            }
+        }
+        let Some(&(total, volume, ..)) = costed.iter().min_by_key(|c| (c.0, c.1)) else {
+            return Ties::default();
+        };
+        // In scan order, so `winners[0]` is the answer.
+        let winners: Vec<_> = costed
+            .iter()
+            .filter(|c| (c.0, c.1) == (total, volume))
+            .collect();
+        let ns = Candidates::new(s.n, 1);
+        let bound = |t: &TileSizes| {
+            row_bound(
+                layer,
+                &Budget::of(arch),
+                &Axis::new(s.m, t.m),
+                &Axis::new(s.k, t.k),
+                ns.as_slice(),
+            )
+        };
+        let first = bound(&winners[0].2);
+        Ties {
+            tiles: winners.iter().any(|w| w.2 != winners[0].2),
+            classes: winners.iter().any(|w| w.3 != winners[0].3),
+            out_of_scan_order: winners.iter().any(|w| bound(&w.2) < first),
+        }
+    }
+
+    /// Ties, checked against the exhaustive oracle. A seeded sweep of
+    /// power-of-two square GEMMs at one bitwidth on power-of-two arrays and
+    /// buffers admits several tiles of one volume and equal traffic, and
+    /// classes that cost the same, with depthwise layers and residual
+    /// streams included. Ties whose rows are visited out of scan order are
+    /// rare in any such sweep, so the cases that showed them are pinned.
+    #[test]
+    fn ties_break_like_the_exhaustive_oracle() {
+        let arch = |rows, cols, ibuf_bytes, wbuf_bytes, obuf_bytes| ArchConfig {
+            rows,
+            cols,
+            ibuf_bytes,
+            wbuf_bytes,
+            obuf_bytes,
+            ..ArchConfig::isca_45nm()
+        };
+        let pinned = [
+            // (96, 32, 64) `Nmk` ties (32, 96, 64) `Nkm`.
+            (
+                layer(96, 96, 192, 8, 8),
+                0,
+                arch(16, 4, 16384, 16384, 65536),
+            ),
+            // A k ↔ n swap under a residual stream.
+            (
+                layer(768, 16, 16, 8, 8),
+                768 * 16 * 8,
+                arch(2, 64, 4096, 16384, 16384),
+            ),
+            (
+                GemmLayer {
+                    unique_input_elems: 512,
+                    ..layer(1536, 8, 8, 16, 16)
+                },
+                1536 * 8 * 16,
+                arch(1, 2, 8192, 16384, 32768),
+            ),
+            // A 16-bit ResNet-18 residual group: inputs and spills trade
+            // places between (128, 64, 1) and (64, 128, 1) `Mkn`.
+            (
+                GemmLayer {
+                    unique_input_elems: 75264,
+                    ..layer(768, 384, 49, 16, 16)
+                },
+                768 * 49 * 16,
+                arch(64, 8, 16384, 32768, 16384),
+            ),
+        ];
+        for (l, residual_bits, arch) in &pinned {
+            assert_eq!(
+                choose_tiling(l, arch, *residual_bits),
+                choose_tiling_exhaustive(l, arch, *residual_bits),
+                "{l:?} residual {residual_bits} on {arch:?}"
+            );
+            let ties = winner_ties(l, arch, *residual_bits);
+            assert!(ties.tiles && ties.out_of_scan_order, "{ties:?} for {l:?}");
+        }
+
+        let mut state = 0x7135_b8ea_u64;
+        let mut below = |n: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let (mut tile_ties, mut class_ties) = (0, 0);
+        for case in 0..1500 {
+            let side = 1u64 << below(11);
+            let bits = [1u32, 2, 4, 8, 16][below(5) as usize];
+            let l = if case % 3 == 1 {
+                GemmLayer {
+                    unique_input_elems: side * side,
+                    depthwise: true,
+                    ..layer(side, 1 << below(5), side, bits, bits)
+                }
+            } else {
+                layer(side, side, side, bits, bits)
+            };
+            let residual_bits = if case % 3 == 2 {
+                side * side * bits as u64
+            } else {
+                0
+            };
+            let arch = arch(
+                1 << below(7),
+                1 << below(7),
+                1 << (6 + below(13)),
+                1 << (6 + below(13)),
+                1 << (6 + below(13)),
+            );
+            assert_eq!(
+                choose_tiling(&l, &arch, residual_bits),
+                choose_tiling_exhaustive(&l, &arch, residual_bits),
+                "{l:?} residual {residual_bits} on {arch:?}"
+            );
+            let ties = winner_ties(&l, &arch, residual_bits);
+            tile_ties += usize::from(ties.tiles);
+            class_ties += usize::from(ties.classes);
+        }
+        assert!(
+            tile_ties >= 100 && class_ties >= 100,
+            "{tile_ties} / {class_ties}"
+        );
     }
 
     fn layer(m: u64, k: u64, n: u64, i_bits: u32, w_bits: u32) -> GemmLayer {

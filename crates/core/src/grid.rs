@@ -32,7 +32,7 @@ use crate::error::CoreError;
 ///     dram_bits_per_cycle: vec![64, 128, 256],
 ///     ..ArchGrid::from_base(ArchConfig::isca_45nm())
 /// };
-/// assert_eq!(grid.len(), 6);
+/// assert_eq!(grid.len(), Some(6));
 /// assert!(grid.validate().is_ok());
 /// assert_eq!(grid.configs().count(), 6);
 /// ```
@@ -69,23 +69,21 @@ impl ArchGrid {
         }
     }
 
-    /// Number of configurations in the cross product.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-            * self.cols.len()
-            * self.ibuf_bytes.len()
-            * self.wbuf_bytes.len()
-            * self.obuf_bytes.len()
-            * self.dram_bits_per_cycle.len()
+    /// Number of configurations in the cross product, or `None` when it
+    /// does not fit a `usize`.
+    pub fn len(&self) -> Option<usize> {
+        self.dimension_lens()
+            .into_iter()
+            .try_fold(1usize, usize::checked_mul)
     }
 
     /// Whether the cross product is empty (some dimension has no candidates).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.dimension_lens().contains(&0)
     }
 
-    /// Number of swept dimensions (candidate lists longer than one entry).
-    pub fn swept_dimensions(&self) -> usize {
+    /// Candidate counts of the six dimensions.
+    fn dimension_lens(&self) -> [usize; 6] {
         [
             self.rows.len(),
             self.cols.len(),
@@ -94,9 +92,11 @@ impl ArchGrid {
             self.obuf_bytes.len(),
             self.dram_bits_per_cycle.len(),
         ]
-        .iter()
-        .filter(|&&n| n > 1)
-        .count()
+    }
+
+    /// Number of swept dimensions (candidate lists longer than one entry).
+    pub fn swept_dimensions(&self) -> usize {
+        self.dimension_lens().iter().filter(|&&n| n > 1).count()
     }
 
     /// Validates the grid: every dimension non-empty and every produced
@@ -149,7 +149,7 @@ mod tests {
     fn degenerate_grid_is_the_base() {
         let base = ArchConfig::isca_45nm();
         let grid = ArchGrid::from_base(base.clone());
-        assert_eq!(grid.len(), 1);
+        assert_eq!(grid.len(), Some(1));
         assert_eq!(grid.swept_dimensions(), 0);
         let configs: Vec<_> = grid.configs().collect();
         assert_eq!(configs, vec![base]);
@@ -162,7 +162,7 @@ mod tests {
             dram_bits_per_cycle: vec![64, 128],
             ..ArchGrid::from_base(ArchConfig::isca_45nm())
         };
-        assert_eq!(grid.len(), 4);
+        assert_eq!(grid.len(), Some(4));
         assert_eq!(grid.swept_dimensions(), 2);
         let points: Vec<(usize, u32)> = grid
             .configs()
@@ -178,8 +178,27 @@ mod tests {
             ..ArchGrid::from_base(ArchConfig::isca_45nm())
         };
         assert!(grid.is_empty());
+        assert_eq!(grid.len(), Some(0));
         assert!(grid.validate().is_err());
         assert_eq!(grid.configs().count(), 0);
+    }
+
+    #[test]
+    fn len_is_checked() {
+        // 2^11 candidates on each of six dimensions: 2^66 points.
+        let wide: Vec<usize> = (1..=2048).collect();
+        let grid = ArchGrid {
+            rows: wide.clone(),
+            cols: wide.clone(),
+            ibuf_bytes: wide.clone(),
+            wbuf_bytes: wide.clone(),
+            obuf_bytes: wide,
+            dram_bits_per_cycle: (1..=2048).collect(),
+            ..ArchGrid::from_base(ArchConfig::isca_45nm())
+        };
+        assert_eq!(grid.len(), None);
+        assert!(!grid.is_empty());
+        assert_eq!(grid.swept_dimensions(), 6);
     }
 
     #[test]

@@ -348,10 +348,11 @@ impl ServerState<'_> {
     fn serve_connection(&self, stream: NetStream) {
         self.connections_total.fetch_add(1, Ordering::Relaxed);
         self.connections_active.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.connection_loop(stream);
-        self.connections_active.fetch_sub(1, Ordering::Relaxed);
+        // Releases the slot on return and on unwind alike: a request that
+        // panics must not leave `stats` counting its connection as open.
+        let _active = ActiveSlot(&self.connections_active);
         // A vanished peer is normal (client ctrl-c'd); nothing to report.
-        drop(outcome);
+        drop(self.connection_loop(stream));
     }
 
     fn connection_loop(&self, stream: NetStream) -> std::io::Result<()> {
@@ -395,6 +396,15 @@ impl ServerState<'_> {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+/// One open connection's count in `connections_active`, given back on drop.
+struct ActiveSlot<'a>(&'a AtomicU64);
+
+impl Drop for ActiveSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

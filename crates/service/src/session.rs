@@ -30,6 +30,7 @@ use bitfusion_dnn::stats::BitwidthStats;
 use bitfusion_dnn::zoo::Benchmark;
 use bitfusion_energy::{ChipArea, EnergyBreakdown, FusionEnergy};
 use bitfusion_isa::asm::format_block;
+use bitfusion_sim::pool::default_workers;
 use bitfusion_sim::{
     bandwidth_sweep, batch_sweep, explore_with_caches, layer_cache::run_plan_cached,
     plan_layer_sharing, AnalyticBackend, DseResult, DseSpec, EventBackend, LayerPerfCache,
@@ -511,7 +512,6 @@ impl Session {
                 .collect::<Result<_, _>>()?,
             ..ArchGrid::from_base(ArchConfig::isca_45nm())
         };
-        let grid_points = grid.len();
         if params.quants.is_empty() {
             return Err("quants has no candidates".to_string());
         }
@@ -547,11 +547,15 @@ impl Session {
         if spec.is_empty() {
             return Err("empty design space (a dimension has no candidates)".to_string());
         }
-        let workers = usize::try_from(params.workers).unwrap_or(0);
+        spec.points_within_cap().map_err(|e| e.to_string())?;
+        let grid_points = spec
+            .grid
+            .len()
+            .expect("at most the spec's checked point count");
         let result = explore_with_caches(
             &spec,
             sim_backend(backend),
-            workers,
+            dse_workers(params.workers),
             &self.cache,
             &self.layer_cache,
         );
@@ -602,6 +606,16 @@ impl Session {
             &self.layer_cache,
         ))
     }
+}
+
+/// The thread count a `dse` request's `workers` field runs on: 0 (every
+/// core) stays 0, and any other count is capped at
+/// [`default_workers`], so no request can ask one process for more
+/// threads than it has cores. Results do not depend on the count.
+fn dse_workers(requested: u64) -> usize {
+    usize::try_from(requested)
+        .unwrap_or(usize::MAX)
+        .min(default_workers())
 }
 
 /// The simulator a backend choice names.
@@ -815,6 +829,33 @@ pub fn chip_area_mm2(arch: &ArchConfig, options: &SimOptions) -> f64 {
 mod tests {
     use super::*;
     use bitfusion_sim::BitFusionSim;
+
+    #[test]
+    fn dse_workers_are_capped_at_the_core_count() {
+        let cores = default_workers();
+        assert_eq!(dse_workers(0), 0, "0 keeps meaning every core");
+        assert_eq!(dse_workers(1), 1);
+        assert_eq!(dse_workers(4096), cores.min(4096));
+        assert_eq!(dse_workers(u64::MAX), cores);
+    }
+
+    #[test]
+    fn over_cap_dse_is_refused_before_enumeration() {
+        // 20 000 × 20 000 candidate rows × cols (4 × 10^8 grid points from
+        // a 218 KB request line) is refused from its candidate lists; the
+        // reply is an error, not an allocation.
+        let params = DseParams {
+            rows: (1..=20_000).collect(),
+            cols: (1..=20_000).collect(),
+            networks: Some(vec!["lstm".to_string()]),
+            ..DseParams::default()
+        };
+        let err = Session::new().dse(&params).unwrap_err();
+        assert!(
+            err.starts_with("design space has ") && err.ends_with(", over the cap of 16384"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn report_matches_direct_simulation() {

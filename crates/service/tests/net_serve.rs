@@ -269,6 +269,51 @@ fn idle_connections_are_reaped_but_the_server_lives_on() {
     });
 }
 
+#[test]
+fn a_panicking_request_releases_its_connection_slot() {
+    const MARKER: &str = r#"{"cmd":"report","benchmark":"rnn","batch":3}"#;
+    let session = Session::new();
+    let (listener, addr) = bind_tcp();
+    let config = NetConfig {
+        workers: 1,
+        ..NetConfig::default()
+    };
+    let marker = served(MARKER).encode();
+    let handler = |request: &Request| {
+        assert!(request.encode() != marker, "the marker request panics");
+        session.handle(request)
+    };
+    let (session, config, handler) = (&session, &config, &handler);
+    thread::scope(|scope| {
+        let _stop = StopOnDrop(&config.stop);
+        let server =
+            scope.spawn(move || net::run_with_handler(session, &listener, config, handler));
+        // The panic unwinds the connection thread: the client reads EOF
+        // with no reply.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        writeln!(stream, "{MARKER}").unwrap();
+        let mut reply = String::new();
+        let n = BufReader::new(stream)
+            .read_line(&mut reply)
+            .expect("closed");
+        assert_eq!(n, 0, "no reply to the panicking request, got {reply:?}");
+        // Only the polling stats connection itself stays active, and the
+        // admission slot was released too.
+        wait_until("panicked connection released", || {
+            stats(addr).connections_active == 1
+        });
+        assert_eq!(stats(addr).in_flight, 0);
+        assert_eq!(
+            exchange(addr, r#"{"cmd":"report","benchmark":"lstm","batch":1}"#),
+            one_shot(r#"{"cmd":"report","benchmark":"lstm","batch":1}"#)
+        );
+        // The scope joining the connection threads re-raises the panic
+        // when the server stops.
+        config.stop.store(true, Ordering::SeqCst);
+        assert!(server.join().is_err(), "the server re-raises the panic");
+    });
+}
+
 #[cfg(unix)]
 #[test]
 fn shutdown_request_drains_a_unix_server() {

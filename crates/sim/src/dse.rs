@@ -96,14 +96,37 @@ impl DseSpec {
         }
     }
 
-    /// Total points (grid size × models × quant specs × batches).
-    pub fn len(&self) -> usize {
-        self.grid.len() * self.models.len() * self.quant_specs.len() * self.batches.len()
+    /// Total points (grid size × models × quant specs × batches), or
+    /// `None` when that does not fit a `usize`.
+    pub fn len(&self) -> Option<usize> {
+        [
+            self.models.len(),
+            self.quant_specs.len(),
+            self.batches.len(),
+        ]
+        .into_iter()
+        .try_fold(self.grid.len()?, usize::checked_mul)
     }
 
     /// Whether the spec enumerates no points.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.grid.is_empty()
+            || self.models.is_empty()
+            || self.quant_specs.is_empty()
+            || self.batches.is_empty()
+    }
+
+    /// The point count, if it is at most [`MAX_DSE_POINTS`]: the check a
+    /// request's spec passes before anything is enumerated.
+    ///
+    /// # Errors
+    ///
+    /// [`TooManyPoints`] when the count is over the cap or overflows.
+    pub fn points_within_cap(&self) -> Result<usize, TooManyPoints> {
+        match self.len() {
+            Some(points) if points <= MAX_DSE_POINTS => Ok(points),
+            points => Err(TooManyPoints { points }),
+        }
     }
 
     /// Workloads (model × batch combinations) per architecture and quant
@@ -113,6 +136,32 @@ impl DseSpec {
         self.models.len() * self.batches.len()
     }
 }
+
+/// Most points one requested exploration may cover (`Session::dse`
+/// refuses a larger spec before enumerating it). The largest grid the
+/// README, CI and perfbench run is 192 points. A whole-zoo grid at the cap
+/// takes ~0.5 s (analytic) or ~0.8 s (event) and ~140 MB peak RSS on
+/// 2 vCPUs; four times the cap took ~540 MB.
+pub const MAX_DSE_POINTS: usize = 1 << 14;
+
+/// A spec over [`MAX_DSE_POINTS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyPoints {
+    /// The spec's point count, or `None` when it overflows a `usize`.
+    pub points: Option<usize>,
+}
+
+impl std::fmt::Display for TooManyPoints {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.points {
+            Some(points) => write!(f, "design space has {points} points"),
+            None => write!(f, "design space point count overflows"),
+        }?;
+        write!(f, ", over the cap of {MAX_DSE_POINTS}")
+    }
+}
+
+impl std::error::Error for TooManyPoints {}
 
 /// One evaluated point of the exploration.
 #[derive(Debug, Clone)]
@@ -565,7 +614,7 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
         batch: u64,
         arch: usize,
     }
-    let mut point_refs: Vec<PointRef> = Vec::with_capacity(spec.len());
+    let mut point_refs: Vec<PointRef> = Vec::with_capacity(spec.len().unwrap_or(0));
     for variant in 0..variants.len() {
         for &batch in &spec.batches {
             for arch in 0..archs.len() {
@@ -847,14 +896,75 @@ mod tests {
     fn explore_covers_every_point() {
         let spec = small_spec();
         let result = explore(&spec, &AnalyticBackend, 1);
-        assert_eq!(result.points.len() + result.infeasible.len(), spec.len());
-        assert_eq!(result.points.len(), spec.len(), "zoo nets fit every config");
+        assert_eq!(
+            Some(result.points.len() + result.infeasible.len()),
+            spec.len()
+        );
+        assert_eq!(
+            Some(result.points.len()),
+            spec.len(),
+            "zoo nets fit every config"
+        );
         assert_eq!(result.backend, "analytic");
         // 12 archs × 2 models × 2 batches = 48 points, but the 3-point
         // bandwidth axis shares compilations: 4 geometry keys × 4
         // model-batch pairs = 16 compiles.
         assert_eq!(result.compile_misses, 16);
         assert_eq!(result.compile_hits, 48 - 16);
+    }
+
+    #[test]
+    fn point_cap_is_checked_without_enumerating() {
+        let spec = small_spec();
+        assert_eq!(spec.points_within_cap(), Ok(48));
+        // 20 000 × 20 000 rows × cols: 4 × 10^8 grid points, refused from
+        // the candidate lists alone.
+        let wide = DseSpec {
+            grid: ArchGrid {
+                rows: (1..=20_000).collect(),
+                cols: (1..=20_000).collect(),
+                ..spec.grid.clone()
+            },
+            ..spec.clone()
+        };
+        let points = 20_000 * 20_000 * 3 * 2 * 2;
+        assert_eq!(wide.len(), Some(points));
+        let err = wide.points_within_cap().unwrap_err();
+        assert_eq!(
+            err,
+            TooManyPoints {
+                points: Some(points)
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("design space has {points} points, over the cap of 16384")
+        );
+        // A batch list whose product overflows is refused as such.
+        let overflowing = DseSpec {
+            grid: ArchGrid {
+                ibuf_bytes: (1..=20_000).collect(),
+                wbuf_bytes: (1..=20_000).collect(),
+                ..wide.grid.clone()
+            },
+            batches: vec![1; 64],
+            ..wide
+        };
+        assert_eq!(overflowing.len(), None);
+        assert_eq!(
+            overflowing.points_within_cap().unwrap_err().to_string(),
+            "design space point count overflows, over the cap of 16384"
+        );
+        // Exactly at the cap passes.
+        let at_cap = DseSpec {
+            grid: ArchGrid {
+                rows: (1..=1 << 10).collect(),
+                ..ArchGrid::from_base(ArchConfig::isca_45nm())
+            },
+            batches: vec![1; 8],
+            ..spec
+        };
+        assert_eq!(at_cap.points_within_cap(), Ok(MAX_DSE_POINTS));
     }
 
     #[test]
@@ -1164,7 +1274,7 @@ mod tests {
             batches: vec![1],
             options: SimOptions::default(),
         };
-        assert_eq!(spec.len(), 3);
+        assert_eq!(spec.len(), Some(3));
         let result = explore(&spec, &AnalyticBackend, 1);
         assert_eq!(result.points.len(), 3);
         assert_eq!(
@@ -1192,7 +1302,7 @@ mod tests {
             options: SimOptions::default(),
         };
         let sequential = explore(&spec, &AnalyticBackend, 1);
-        assert_eq!(sequential.points.len(), spec.len());
+        assert_eq!(Some(sequential.points.len()), spec.len());
         for workers in [2, 5] {
             let parallel = explore(&spec, &AnalyticBackend, workers);
             assert_eq!(sequential.points.len(), parallel.points.len());

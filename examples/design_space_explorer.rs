@@ -24,9 +24,10 @@ fn main() {
     let spec = DseSpec::zoo(grid, vec![16]);
     println!(
         "grid: {} architectures x {} networks = {} points",
-        spec.grid.len(),
+        spec.grid.len().expect("27 architectures"),
         spec.models.len(),
-        spec.len()
+        spec.points_within_cap()
+            .expect("216 points, under the request cap")
     );
 
     // Workers = 0 shards across all available cores; the memoized compile
