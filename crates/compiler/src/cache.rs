@@ -107,8 +107,12 @@ impl ArtifactKey {
 }
 
 /// FNV-1a as a [`Hasher`]: the one hash behind every cache key in the
-/// workspace (see [`fnv1a`]).
+/// workspace (see [`fnv1a`]). Byte strings fold one byte per step, as
+/// FNV-1a specifies; integers — nearly everything a derived `Hash` writes
+/// — fold one whole word per step (see [`Fnv1a::word`]).
 struct Fnv1a(u64);
+
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 impl Default for Fnv1a {
     fn default() -> Self {
@@ -116,12 +120,44 @@ impl Default for Fnv1a {
     }
 }
 
+impl Fnv1a {
+    /// One FNV-1a step over a whole word. A multiply carries each bit of
+    /// the word only upward, so the rotation brings the high bits down
+    /// where the next step's multiply spreads them again; without it, two
+    /// words that both differ only in bit 63 would cancel. Every step is
+    /// a bijection of the state, so two inputs written alike but for one
+    /// word never collide.
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(FNV_PRIME).rotate_left(29);
+    }
+}
+
 impl Hasher for Fnv1a {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.word(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -142,9 +178,9 @@ pub fn fnv1a<T: Hash + ?Sized>(value: &T) -> u64 {
 /// FNV-1a over the model's derived `Hash`: the model name and every
 /// layer's name, shape and precisions, so any structural edit changes the
 /// fingerprint. Every field is an integer, bool, string or enum, so the
-/// hash is exact structure with no float rounding. It costs ~0.1–3.5 µs
-/// (LSTM to ResNet-18, release build), against a ~8–70 µs whole-plan
-/// compile at batch 16.
+/// hash is exact structure with no float rounding. It costs ~0.02–0.9 µs
+/// (LSTM to ResNet-18, release build; the layer names are hashed byte by
+/// byte), against a ~8–70 µs whole-plan compile at batch 16.
 pub fn fingerprint(model: &Model) -> u64 {
     fnv1a(model)
 }
@@ -161,8 +197,7 @@ pub fn fingerprint(model: &Model) -> u64 {
 /// deterministic function of the covered fields plus the geometry already
 /// present in [`LayerKey`] (its only position-dependent field, the
 /// next-block link, never affects traffic or timing). The hash costs
-/// ~0.3 µs, and a layer-tier lookup including it ~0.5–0.7 µs, against a
-/// ~2–3 µs evaluation (medians, release build, 2 vCPUs).
+/// ~30 ns (zoo mean, release build), against a ~2–3 µs evaluation.
 pub fn layer_fingerprint(layer: &PlannedLayer) -> u64 {
     fnv1a(&(&layer.gemm, &layer.tile_plan, &layer.postops, &layer.mapping))
 }
@@ -417,13 +452,17 @@ impl LayerKey {
 /// Default layer-tier capacity. The tier is filled by the `report`,
 /// `compare` and `sweep` paths (design-space exploration deduplicates
 /// layers per run instead), where every plan brings one key per layer
-/// and a sweep one more per swept value, so a serving session of new
-/// requests produces many more unique layer keys than model keys. Each
-/// entry is one small evaluation result rather than a compiled plan, so
-/// the tier is sized well above [`DEFAULT_CACHE_CAPACITY`]. It is 7/8
-/// of 16 384: `HashMap` keeps its load at or below 7/8, so one more
-/// entry would double the table to 32 768 slots and add about 7 MB.
-pub const DEFAULT_LAYER_CACHE_CAPACITY: usize = 14_336;
+/// and a sweep one more per swept value. Per-layer precisions, batches
+/// and bandwidths vary per request, so keys rarely repeat, and the
+/// capacity sits at the knee of the measured hit-rate curve: on the repo
+/// benchmark's `serve_unique` stream (traced replay, seeds 1 and 3) the
+/// layer hit rate reads 0.21/0.20 at 1 792 entries, 0.27/0.30 at 3 584
+/// and 0.30/0.32 at 7 168, where it stops rising, for a serving peak
+/// RSS of 6.2, 7.0–7.3 and 9.1–9.2 MB. Each entry holds two
+/// table slots (see [`LayerArtifactCache::new`]) of 224 bytes, key and
+/// `LayerPerf` value. `DESIGN.md`, "Two-tier compile/sim cache", has the
+/// whole curve.
+pub const DEFAULT_LAYER_CACHE_CAPACITY: usize = 3_584;
 
 struct LayerEntry<V> {
     value: V,
@@ -479,15 +518,21 @@ impl<V> LayerArtifactCache<V> {
     /// Creates a layer cache holding at most `capacity` evaluation results
     /// (`capacity` is clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         LayerArtifactCache {
             inner: Mutex::new(LayerInner {
-                map: HashMap::new(),
+                // Room for twice the entries, so the table never grows:
+                // `HashMap` reclaims the slots `retain` frees by rehashing
+                // in place only while it is at most half full, and grows
+                // to a second table (both live while it moves) otherwise.
+                // The slots are allocated but only touched as they fill.
+                map: HashMap::with_capacity(2 * capacity),
                 tick: 0,
                 hits: 0,
                 misses: 0,
                 evictions: 0,
             }),
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 
@@ -908,6 +953,30 @@ mod tests {
         // Below capacity again: the next insert evicts nothing.
         cache.insert(key(17), 17);
         assert_eq!((cache.stats().len, cache.stats().evictions), (16, 2));
+    }
+
+    #[test]
+    fn eviction_churn_never_grows_the_layer_table() {
+        // `retain` leaves tombstones that `HashMap` only reclaims in place
+        // while at most half full; a table sized to the capacity alone
+        // grows to a second, double-size table under churn. `capacity()`
+        // is the entries plus the free slots, so tombstones lower it and
+        // an in-place rehash restores it, but only a new table raises it.
+        let arch = ArchConfig::isca_45nm();
+        let key = |fp: u64| LayerKey::of(fp, &arch, 1, 0);
+        const CAPACITY: u64 = 64;
+        let cache: LayerArtifactCache<u64> = LayerArtifactCache::new(CAPACITY as usize);
+        let table = || cache.inner.lock().unwrap().map.capacity();
+        for fp in 0..CAPACITY {
+            cache.insert(key(fp), fp);
+        }
+        let first = table();
+        for fp in CAPACITY..11 * CAPACITY {
+            assert_eq!(cache.lookup(&key(fp)), None);
+            cache.insert(key(fp), fp);
+            assert!(table() <= first, "the table grew at insert {fp}");
+        }
+        assert_eq!(cache.stats().evictions, 10 * CAPACITY);
     }
 
     #[test]

@@ -29,6 +29,11 @@ pub enum CompileError {
     /// The target architecture fails [`bitfusion_core::arch::ArchConfig::validate`]
     /// (zero geometry, zero buffers, non-power-of-two access width).
     InvalidArch(CoreError),
+    /// A layer's element count does not fit `u64` at the requested batch.
+    CountOverflow {
+        /// The count that overflowed.
+        count: &'static str,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -41,6 +46,12 @@ impl fmt::Display for CompileError {
             CompileError::Emit(e) => write!(f, "block emission failed: {e}"),
             CompileError::ZeroBatch => write!(f, "batch size must be at least 1"),
             CompileError::InvalidArch(e) => write!(f, "invalid target architecture: {e}"),
+            CompileError::CountOverflow { count } => {
+                write!(
+                    f,
+                    "batch too large: the {count} count of a layer overflows u64"
+                )
+            }
         }
     }
 }

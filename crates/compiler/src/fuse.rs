@@ -12,6 +12,9 @@ use bitfusion_core::postproc::PoolOp;
 use bitfusion_dnn::layer::Layer;
 use bitfusion_dnn::model::Model;
 
+use crate::error::CompileError;
+use crate::gemm::product;
+
 /// A post-operation fused into a MAC layer's block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PostOp {
@@ -92,7 +95,12 @@ pub struct FusedGroup {
 /// Non-MAC layers with no preceding MAC layer (none exist in the zoo) are
 /// skipped with their costs charged nowhere; the compiler's plan asserts the
 /// zoo never hits this.
-pub fn fuse_layers(model: &Model, batch: u64) -> Vec<FusedGroup> {
+///
+/// # Errors
+///
+/// Returns [`CompileError::CountOverflow`] when `batch` pushes a post-op's
+/// batch-scaled count past `u64`.
+pub fn fuse_layers(model: &Model, batch: u64) -> Result<Vec<FusedGroup>, CompileError> {
     let mut groups: Vec<FusedGroup> = Vec::new();
     for (idx, named) in model.layers.iter().enumerate() {
         match &named.layer {
@@ -110,7 +118,7 @@ pub fn fuse_layers(model: &Model, batch: u64) -> Vec<FusedGroup> {
                     mac_index: idx,
                     fused_indices: Vec::new(),
                     postops: vec![PostOp::RecurrentCell {
-                        ops: r.elementwise_ops() * batch,
+                        ops: product(r.elementwise_ops(), batch, "recurrent elementwise op")?,
                     }],
                 });
             }
@@ -135,7 +143,7 @@ pub fn fuse_layers(model: &Model, batch: u64) -> Vec<FusedGroup> {
                 if let Some(g) = groups.last_mut() {
                     g.fused_indices.push(idx);
                     g.postops.push(PostOp::Residual {
-                        elems: e.elements as u64 * batch,
+                        elems: product(e.elements as u64, batch, "residual element")?,
                         bits: model.layers[g.mac_index]
                             .layer
                             .precision()
@@ -145,7 +153,7 @@ pub fn fuse_layers(model: &Model, batch: u64) -> Vec<FusedGroup> {
             }
         }
     }
-    groups
+    Ok(groups)
 }
 
 #[cfg(test)]
@@ -156,7 +164,7 @@ mod tests {
     #[test]
     fn alexnet_groups_absorb_pools() {
         let model = zoo::alexnet();
-        let groups = fuse_layers(&model, 1);
+        let groups = fuse_layers(&model, 1).unwrap();
         // 8 MAC layers; pools fused into conv1/conv2/conv5.
         assert_eq!(groups.len(), 8);
         let conv1 = &groups[0];
@@ -170,7 +178,7 @@ mod tests {
     #[test]
     fn resnet_groups_absorb_residuals() {
         let model = zoo::resnet18();
-        let groups = fuse_layers(&model, 1);
+        let groups = fuse_layers(&model, 1).unwrap();
         let with_residual = groups
             .iter()
             .filter(|g| g.postops.iter().any(|p| matches!(p, PostOp::Residual { .. })))
@@ -181,7 +189,7 @@ mod tests {
     #[test]
     fn recurrent_gets_cell_postop() {
         let model = zoo::lstm();
-        let groups = fuse_layers(&model, 4);
+        let groups = fuse_layers(&model, 4).unwrap();
         assert_eq!(groups.len(), 2);
         assert!(matches!(
             groups[0].postops[0],

@@ -9,6 +9,8 @@
 use bitfusion_core::bitwidth::PairPrecision;
 use bitfusion_dnn::layer::Layer;
 
+use crate::error::CompileError;
+
 /// The GEMM dimensions of one layer at a given batch size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
@@ -55,10 +57,26 @@ pub struct GemmLayer {
     pub depthwise: bool,
 }
 
-/// Lowers a MAC layer to its GEMM view; returns `None` for non-MAC layers
-/// (pooling, activation, elementwise), which the compiler plans separately.
-pub fn layer_to_gemm(layer: &Layer, batch: u64, output_bits: u32) -> Option<GemmLayer> {
-    match layer {
+/// `a × b`, or the [`CompileError::CountOverflow`] naming `count`.
+pub(crate) fn product(a: u64, b: u64, count: &'static str) -> Result<u64, CompileError> {
+    a.checked_mul(b)
+        .ok_or(CompileError::CountOverflow { count })
+}
+
+/// Lowers a MAC layer to its GEMM view; returns `Ok(None)` for non-MAC
+/// layers (pooling, activation, elementwise), which the compiler plans
+/// separately.
+///
+/// # Errors
+///
+/// Returns [`CompileError::CountOverflow`] when `batch` pushes a
+/// batch-scaled count past `u64`.
+pub fn layer_to_gemm(
+    layer: &Layer,
+    batch: u64,
+    output_bits: u32,
+) -> Result<Option<GemmLayer>, CompileError> {
+    Ok(match layer {
         Layer::Conv2d(c) => {
             let (oh, ow) = c.output_hw();
             // Input traffic per full traversal: the IBUF line-buffers each
@@ -68,18 +86,20 @@ pub fn layer_to_gemm(layer: &Layer, batch: u64, output_bits: u32) -> Option<Gemm
             // im2col volume. Perfect two-dimensional reuse would need the
             // whole feature map resident, which the 32 KB IBUF cannot hold
             // for the ImageNet-scale layers.
-            let unique = c.input_elems() * batch;
-            let im2col = c.reduction_len() * (oh * ow) as u64 * batch;
-            let windowed = (unique * c.kernel.0 as u64).div_ceil(c.stride.0 as u64);
+            let n = product((oh * ow) as u64, batch, "n")?;
+            let unique = product(c.input_elems(), batch, "unique input")?;
+            let im2col = product(c.reduction_len(), n, "im2col input")?;
+            let windowed =
+                product(unique, c.kernel.0 as u64, "windowed input")?.div_ceil(c.stride.0 as u64);
             Some(GemmLayer {
                 shape: GemmShape {
                     m: c.out_channels as u64,
                     k: c.reduction_len(),
-                    n: (oh * ow) as u64 * batch,
+                    n,
                 },
                 pair: c.precision,
                 unique_input_elems: windowed.min(im2col).max(unique),
-                output_elems: c.output_elems() * batch,
+                output_elems: product(c.output_elems(), batch, "output element")?,
                 weight_elems: c.params(),
                 output_bits,
                 depthwise: false,
@@ -89,18 +109,20 @@ pub fn layer_to_gemm(layer: &Layer, batch: u64, output_bits: u32) -> Option<Gemm
             let (oh, ow) = c.output_hw();
             // Same line-buffered window reuse as dense convolution, per
             // channel; the im2col volume here is tiny (`R·S` per output).
-            let unique = c.input_elems() * batch;
-            let im2col = c.reduction_len() * c.output_elems() * batch;
-            let windowed = (unique * c.kernel.0 as u64).div_ceil(c.stride.0 as u64);
+            let output_elems = product(c.output_elems(), batch, "output element")?;
+            let unique = product(c.input_elems(), batch, "unique input")?;
+            let im2col = product(c.reduction_len(), output_elems, "im2col input")?;
+            let windowed =
+                product(unique, c.kernel.0 as u64, "windowed input")?.div_ceil(c.stride.0 as u64);
             Some(GemmLayer {
                 shape: GemmShape {
                     m: c.channels as u64,
                     k: c.reduction_len(),
-                    n: (oh * ow) as u64 * batch,
+                    n: product((oh * ow) as u64, batch, "n")?,
                 },
                 pair: c.precision,
                 unique_input_elems: windowed.min(im2col).max(unique),
-                output_elems: c.output_elems() * batch,
+                output_elems,
                 weight_elems: c.params(),
                 output_bits,
                 depthwise: true,
@@ -113,8 +135,8 @@ pub fn layer_to_gemm(layer: &Layer, batch: u64, output_bits: u32) -> Option<Gemm
                 n: batch,
             },
             pair: d.precision,
-            unique_input_elems: d.in_features as u64 * batch,
-            output_elems: d.out_features as u64 * batch,
+            unique_input_elems: product(d.in_features as u64, batch, "unique input")?,
+            output_elems: product(d.out_features as u64, batch, "output element")?,
             weight_elems: d.params(),
             output_bits,
             depthwise: false,
@@ -125,15 +147,15 @@ pub fn layer_to_gemm(layer: &Layer, batch: u64, output_bits: u32) -> Option<Gemm
             Some(GemmLayer {
                 shape: GemmShape { m, k, n: batch },
                 pair: r.precision,
-                unique_input_elems: k * batch,
-                output_elems: m * batch,
+                unique_input_elems: product(k, batch, "unique input")?,
+                output_elems: product(m, batch, "output element")?,
                 weight_elems: r.params(),
                 output_bits,
                 depthwise: false,
             })
         }
         Layer::Pool2d(_) | Layer::Eltwise(_) | Layer::Activation(_) => None,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -158,7 +180,7 @@ mod tests {
             precision: pp(4, 1),
         };
         let layer = Layer::Conv2d(c.clone());
-        let g = layer_to_gemm(&layer, 16, 4).unwrap();
+        let g = layer_to_gemm(&layer, 16, 4).unwrap().unwrap();
         assert_eq!(g.shape.macs(), c.macs() * 16);
         assert_eq!(g.shape.k, c.reduction_len());
         assert_eq!(g.weight_elems, c.params());
@@ -171,7 +193,7 @@ mod tests {
             out_features: 4096,
             precision: pp(4, 1),
         };
-        let g = layer_to_gemm(&Layer::Dense(d), 4, 4).unwrap();
+        let g = layer_to_gemm(&Layer::Dense(d), 4, 4).unwrap().unwrap();
         assert_eq!(g.shape, GemmShape { m: 4096, k: 9216, n: 4 });
         assert_eq!(g.shape.macs(), 4096 * 9216 * 4);
     }
@@ -188,7 +210,7 @@ mod tests {
             precision: pp(8, 4),
         };
         let layer = Layer::DepthwiseConv2d(c.clone());
-        let g = layer_to_gemm(&layer, 4, 8).unwrap();
+        let g = layer_to_gemm(&layer, 4, 8).unwrap().unwrap();
         assert!(g.depthwise);
         assert_eq!(
             g.shape,
@@ -214,7 +236,7 @@ mod tests {
             hidden_size: 900,
             precision: pp(4, 4),
         };
-        let g = layer_to_gemm(&Layer::Recurrent(r), 1, 4).unwrap();
+        let g = layer_to_gemm(&Layer::Recurrent(r), 1, 4).unwrap().unwrap();
         assert_eq!(g.shape, GemmShape { m: 3600, k: 1800, n: 1 });
     }
 
@@ -230,6 +252,32 @@ mod tests {
             padding: (0, 0),
             op: PoolOp::Max,
         });
-        assert!(layer_to_gemm(&p, 1, 8).is_none());
+        assert_eq!(layer_to_gemm(&p, 1, 8), Ok(None));
+    }
+
+    #[test]
+    fn batch_scaled_counts_that_overflow_are_named_errors() {
+        let dense = Layer::Dense(Dense {
+            in_features: 2,
+            out_features: 2,
+            precision: pp(8, 8),
+        });
+        let overflow = |count| Err(CompileError::CountOverflow { count });
+        assert!(layer_to_gemm(&dense, 1 << 62, 8).is_ok());
+        assert_eq!(layer_to_gemm(&dense, 1 << 63, 8), overflow("unique input"));
+        let conv = Layer::Conv2d(Conv2d {
+            in_channels: 1,
+            out_channels: 8,
+            kernel: (3, 3),
+            stride: (1, 1),
+            padding: (1, 1),
+            input_hw: (4, 4),
+            groups: 1,
+            precision: pp(8, 8),
+        });
+        // 16 output pixels: `n` fits at 2^59 and overflows at 2^60.
+        assert_eq!(layer_to_gemm(&conv, 1 << 60, 8), overflow("n"));
+        assert_eq!(layer_to_gemm(&conv, 1 << 59, 8), overflow("im2col input"));
+        assert_eq!(layer_to_gemm(&conv, u64::MAX, 8), overflow("n"));
     }
 }

@@ -88,7 +88,7 @@ pub fn compile(
     if batch == 0 {
         return Err(CompileError::ZeroBatch);
     }
-    let groups = fuse_layers(model, batch);
+    let groups = fuse_layers(model, batch)?;
     if groups.is_empty() {
         return Err(CompileError::EmptyModel);
     }
@@ -105,7 +105,7 @@ pub fn compile(
     let mut layers = Vec::with_capacity(groups.len());
     for (gi, group) in groups.iter().enumerate() {
         let mac = &model.layers[group.mac_index].layer;
-        let gemm = layer_to_gemm(mac, batch, output_bits_of(gi))
+        let gemm = layer_to_gemm(mac, batch, output_bits_of(gi))?
             .expect("fused groups are headed by MAC layers");
         // Fused residual streams ride the input buffer: reserve IBUF
         // headroom for them when picking tiles (see `choose_tiling`).

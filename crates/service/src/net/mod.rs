@@ -39,6 +39,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use bitfusion_sim::pool::{Admission, Gate};
@@ -466,10 +467,24 @@ pub fn run_with_handler(
     };
     let state = &state;
     std::thread::scope(|scope| {
-        while !config.stop.load(Ordering::SeqCst) {
+        // Connection threads are joined here, not by the scope: a scope
+        // re-raises the panic of any thread it joins itself, and one
+        // request that panicked must not take the server down at
+        // shutdown. The panic already closed that connection and released
+        // its slot, so its join result carries nothing to report.
+        let mut connections: Vec<ScopedJoinHandle<'_, ()>> = Vec::new();
+        let accepted = loop {
+            if config.stop.load(Ordering::SeqCst) {
+                break Ok(());
+            }
             match listener.accept() {
                 Ok(stream) => {
-                    scope.spawn(move || state.serve_connection(stream));
+                    // Reap the finished threads, so the list holds only
+                    // open connections.
+                    for done in connections.extract_if(.., |c| c.is_finished()) {
+                        drop(done.join());
+                    }
+                    connections.push(scope.spawn(move || state.serve_connection(stream)));
                 }
                 Err(e)
                     if matches!(
@@ -479,11 +494,14 @@ pub fn run_with_handler(
                 {
                     std::thread::sleep(ACCEPT_INTERVAL);
                 }
-                Err(e) => return Err(e),
+                Err(e) => break Err(e),
             }
+        };
+        // The drain.
+        for connection in connections {
+            drop(connection.join());
         }
-        Ok(())
-        // Scope exit joins every connection thread: the drain.
+        accepted
     })?;
     Ok(NetSummary {
         connections: state.connections_total.load(Ordering::Relaxed),

@@ -19,8 +19,8 @@
 //! no lock per layer and one segment program per layer across a bandwidth
 //! axis.
 //!
-//! A lookup, fingerprint included, costs ~0.5–0.7 µs (median, release
-//! build, 2 vCPUs), against ~1.7 µs for an analytic and ~2.7 µs for an
+//! A lookup is a ~30 ns fingerprint (release build) plus a locked map
+//! probe, against ~1.7 µs for an analytic and ~2.7 µs for an
 //! event-backend layer evaluation.
 //!
 //! Correctness note: cached values are *deterministic* functions of their

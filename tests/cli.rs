@@ -235,6 +235,58 @@ fn serve_answers_deeply_nested_json_with_an_error_and_lives_on() {
     assert_eq!(lines.len(), 2);
 }
 
+/// The error a batch of 2^63 gets: AlexNet's first layer has 55 × 55
+/// output pixels, so its GEMM `n` count passes `u64`.
+const HUGE_BATCH_ERROR: &str =
+    r#"{"reply":"error","message":"batch too large: the n count of a layer overflows u64"}"#;
+
+#[test]
+fn a_batch_whose_counts_overflow_is_a_runtime_error() {
+    let out = run(&[
+        "report",
+        "alexnet",
+        "--batch",
+        "9223372036854775808",
+        "--json",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    assert_eq!(stdout_of(&out).trim_end(), HUGE_BATCH_ERROR);
+    let out = run(&["report", "lenet-5", "--batch", "1152921504606846976"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("batch too large"), "{err}");
+}
+
+#[test]
+fn serve_answers_an_overflowing_batch_with_an_error_and_lives_on() {
+    let script = concat!(
+        r#"{"cmd":"report","benchmark":"alexnet","batch":9223372036854775808}"#,
+        "\n",
+        r#"{"cmd":"list"}"#,
+        "\n",
+    );
+    let mut child = Command::new(BIN)
+        .args(["serve"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(script.as_bytes())
+        .expect("script written");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert_eq!(lines[0], HUGE_BATCH_ERROR);
+    assert!(lines[1].starts_with(r#"{"reply":"list""#), "{stdout}");
+}
+
 #[test]
 fn quantize_subcommand_and_quant_flags_work() {
     // quantize --json parses through the protocol.
