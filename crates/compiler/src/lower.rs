@@ -9,7 +9,7 @@
 
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_isa::builder::BlockBuilder;
-use bitfusion_isa::instruction::{AddressSpace, ComputeFn, LoopId, Scratchpad};
+use bitfusion_isa::instruction::{AddressSpace, ComputeFn, Scratchpad};
 use bitfusion_isa::InstructionBlock;
 use bitfusion_core::postproc::PoolOp;
 
@@ -49,20 +49,23 @@ fn tile_size(plan: &TilePlan, d: TileDim) -> u64 {
     }
 }
 
-fn post_op_compute_fn(p: &PostOp) -> Vec<ComputeFn> {
+fn post_op_compute_fns(p: &PostOp) -> &'static [ComputeFn] {
     match p {
-        PostOp::Relu => vec![ComputeFn::Relu],
-        PostOp::Pool { op: PoolOp::Max, .. } => vec![ComputeFn::Max],
-        PostOp::Pool { op: PoolOp::Average, .. } => vec![ComputeFn::Avg],
-        PostOp::Residual { .. } => vec![ComputeFn::Add],
+        PostOp::Relu => &[ComputeFn::Relu],
+        PostOp::Pool { op: PoolOp::Max, .. } => &[ComputeFn::Max],
+        PostOp::Pool { op: PoolOp::Average, .. } => &[ComputeFn::Avg],
+        PostOp::Residual { .. } => &[ComputeFn::Add],
         // LSTM/RNN cell: gate nonlinearities plus state update.
         PostOp::RecurrentCell { .. } => {
-            vec![ComputeFn::Sigmoid, ComputeFn::Tanh, ComputeFn::Mul, ComputeFn::Add]
+            &[ComputeFn::Sigmoid, ComputeFn::Tanh, ComputeFn::Mul, ComputeFn::Add]
         }
     }
 }
 
 /// Emits the instruction block for one fused GEMM group.
+///
+/// Two allocations: the block's name and its instruction storage, sized
+/// exactly from the strides and loads decided before any is emitted.
 ///
 /// # Errors
 ///
@@ -72,10 +75,7 @@ pub fn lower_gemm(input: &LowerInput<'_>, arch: &ArchConfig) -> Result<Instructi
     let layer = input.layer;
     let plan = input.plan;
     let seq = plan.order.sequence();
-    let trips: Vec<u64> = seq
-        .iter()
-        .map(|&d| dim_size(layer, d).div_ceil(tile_size(plan, d)))
-        .collect();
+    let trips = seq.map(|d| dim_size(layer, d).div_ceil(tile_size(plan, d)));
 
     // Depth (0-based position in `seq`) of the deepest loop each tensor
     // depends on: that is where its DMA lives.
@@ -117,7 +117,44 @@ pub fn lower_gemm(input: &LowerInput<'_>, arch: &ArchConfig) -> Result<Instructi
     let o_store_words = (layer.output_elems / shrink).div_ceil(tm * tn).max(1);
     let residual_bits: u64 = input.postops.iter().map(PostOp::extra_input_bits).sum();
 
-    let mut b = BlockBuilder::new(input.name, pair);
+    // Off-chip strides of each tile loop, per tensor layout (row-major
+    // [m][k] weights, [k][n] inputs, [m][n] outputs); a zero stride emits
+    // no `gen-addr`.
+    let strides = seq.map(|d| {
+        let w = match d {
+            TileDim::M => plan.tiles.m * layer.shape.k,
+            TileDim::K => plan.tiles.k,
+            TileDim::N => 0,
+        };
+        let i = match d {
+            TileDim::K => plan.tiles.k * layer.shape.n,
+            TileDim::N => plan.tiles.n,
+            // Depthwise inputs are laid out [m][k][n]: advancing the m tile
+            // walks to the next channel group's windows.
+            TileDim::M if layer.depthwise => plan.tiles.m * layer.shape.k * layer.shape.n,
+            TileDim::M => 0,
+        };
+        let o = match d {
+            TileDim::M => plan.tiles.m * layer.shape.n / shrink,
+            TileDim::N => plan.tiles.n,
+            TileDim::K => 0,
+        };
+        [(Scratchpad::Wbuf, w), (Scratchpad::Ibuf, i), (Scratchpad::Obuf, o)]
+    });
+    let post_fns: usize = input.postops.iter().map(|p| post_op_compute_fns(p).len()).sum();
+    let instructions = 2 // setup, block-end
+        + 3 // tile loops
+        + strides.iter().flatten().filter(|&&(_, s)| s > 0).count()
+        + 2 // weight and input loads
+        + usize::from(residual_bits > 0)
+        + usize::from(spilling) // partial-sum reload
+        + 3 + 6 // compute loops and their on-chip strides
+        + 3 // rd-buf, rd-buf, compute mac
+        + post_fns
+        + 1 // wr-buf
+        + 1; // output store
+
+    let mut b = BlockBuilder::with_capacity(input.name, pair, instructions);
     // Synthetic but distinct DRAM bases: weights after inputs, outputs last.
     b.set_base(Scratchpad::Ibuf, 0);
     b.set_base(
@@ -130,41 +167,12 @@ pub fn lower_gemm(input: &LowerInput<'_>, arch: &ArchConfig) -> Result<Instructi
     );
 
     // --- Tile loops, outermost first, with DMA at the right depths. ---
-    let mut tile_loop_ids: Vec<LoopId> = Vec::with_capacity(3);
     for depth in 0..3 {
         let id = b.open_loop(trips[depth].min(u32::MAX as u64) as u32)?;
-        tile_loop_ids.push(id);
-        // Off-chip strides for this tile loop, per tensor layout
-        // (row-major [m][k] weights, [k][n] inputs, [m][n] outputs).
-        let d = seq[depth];
-        let w_stride = match d {
-            TileDim::M => plan.tiles.m * layer.shape.k,
-            TileDim::K => plan.tiles.k,
-            TileDim::N => 0,
-        };
-        if w_stride > 0 {
-            b.gen_addr(id, AddressSpace::OffChip, Scratchpad::Wbuf, w_stride)?;
-        }
-        let i_stride = match d {
-            TileDim::K => plan.tiles.k * layer.shape.n,
-            TileDim::N => plan.tiles.n,
-            // Depthwise inputs are laid out [m][k][n]: advancing the m tile
-            // walks to the next channel group's windows.
-            TileDim::M if layer.depthwise => {
-                plan.tiles.m * layer.shape.k * layer.shape.n
+        for (buffer, stride) in strides[depth] {
+            if stride > 0 {
+                b.gen_addr(id, AddressSpace::OffChip, buffer, stride)?;
             }
-            TileDim::M => 0,
-        };
-        if i_stride > 0 {
-            b.gen_addr(id, AddressSpace::OffChip, Scratchpad::Ibuf, i_stride)?;
-        }
-        let o_stride = match d {
-            TileDim::M => plan.tiles.m * layer.shape.n / shrink,
-            TileDim::N => plan.tiles.n,
-            TileDim::K => 0,
-        };
-        if o_stride > 0 {
-            b.gen_addr(id, AddressSpace::OffChip, Scratchpad::Obuf, o_stride)?;
         }
         // DMA loads owned by this depth.
         if depth == w_depth {
@@ -207,7 +215,7 @@ pub fn lower_gemm(input: &LowerInput<'_>, arch: &ArchConfig) -> Result<Instructi
     // Post-ops apply per output vector on the way to OBUF (Figure 3's
     // per-column activation/pooling units).
     for p in input.postops {
-        for f in post_op_compute_fn(p) {
+        for &f in post_op_compute_fns(p) {
             b.compute(f);
         }
     }

@@ -6,7 +6,7 @@ use bitfusion_dnn::model::Model;
 use bitfusion_isa::{InstructionBlock, Program};
 
 use crate::error::CompileError;
-use crate::fuse::{fuse_layers, FusedGroup, PostOp};
+use crate::fuse::{fuse_layers, PostOp};
 use crate::gemm::{layer_to_gemm, GemmLayer};
 use crate::lower::{lower_gemm, mapping_for, LowerInput, Mapping, SegmentFacts};
 use crate::tiling::{choose_tiling, TilePlan};
@@ -92,26 +92,27 @@ pub fn compile(
     if groups.is_empty() {
         return Err(CompileError::EmptyModel);
     }
-    // Output storage width of each group: the next MAC layer's input width
-    // (values are stored at the minimal bitwidth the consumer needs), 8 bits
-    // for the final classifier output.
-    let output_bits_of = |gi: usize| -> u32 {
-        groups
-            .get(gi + 1)
-            .and_then(|g: &FusedGroup| model.layers[g.mac_index].layer.precision())
-            .map_or(8, |p| p.input.bits())
-    };
-
-    let mut layers = Vec::with_capacity(groups.len());
-    for (gi, group) in groups.iter().enumerate() {
+    let count = groups.len();
+    let mut layers = Vec::with_capacity(count);
+    // Groups are consumed: each one's name and post-ops move into its
+    // planned layer.
+    let mut groups = groups.into_iter().enumerate().peekable();
+    while let Some((gi, group)) = groups.next() {
+        // Output storage width: the next MAC layer's input width (values
+        // are stored at the minimal bitwidth the consumer needs), 8 bits
+        // for the final classifier output.
+        let output_bits = groups
+            .peek()
+            .and_then(|(_, next)| model.layers[next.mac_index].layer.precision())
+            .map_or(8, |p| p.input.bits());
         let mac = &model.layers[group.mac_index].layer;
-        let gemm = layer_to_gemm(mac, batch, output_bits_of(gi))?
+        let gemm = layer_to_gemm(mac, batch, output_bits)?
             .expect("fused groups are headed by MAC layers");
         // Fused residual streams ride the input buffer: reserve IBUF
         // headroom for them when picking tiles (see `choose_tiling`).
         let residual_bits: u64 = group.postops.iter().map(PostOp::extra_input_bits).sum();
         let tile_plan: TilePlan = choose_tiling(&gemm, arch, residual_bits)?;
-        let next = if gi + 1 == groups.len() { 0 } else { (gi + 1) as u16 };
+        let next = if gi + 1 == count { 0 } else { (gi + 1) as u16 };
         let input = LowerInput {
             name: &group.name,
             layer: &gemm,
@@ -122,12 +123,12 @@ pub fn compile(
         let block = lower_gemm(&input, arch)?;
         let mapping = mapping_for(&input, arch);
         layers.push(PlannedLayer {
-            name: group.name.clone(),
+            name: group.name,
             block,
             mapping,
             gemm,
             tile_plan,
-            postops: group.postops.clone(),
+            postops: group.postops,
         });
     }
     Ok(ExecutionPlan {

@@ -3,8 +3,10 @@
 //! A block implements one DNN layer (or a fused group of layers): it begins
 //! with `setup`, ends with `block-end`, and contains a (possibly non-perfect)
 //! loop nest expressed linearly via per-instruction loop levels (see
-//! [`crate::instruction`]). [`LoopTree`] reconstructs the nest, which both
-//! the event walker and the performance simulator consume.
+//! [`crate::instruction`]). [`LoopTree`] reconstructs the nest as nested
+//! `Vec`s for the Equation 4 walker and the reference oracles; the folds
+//! on the evaluation path (`summarize`, `SegmentProgram::compile`) scan the
+//! flat tagged list instead and never build it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -102,7 +104,9 @@ impl InstructionBlock {
             Some(Instruction::BlockEnd { .. }) => {}
             _ => return Err(IsaError::MalformedBlock("block must end with block-end")),
         }
-        let mut declared: BTreeMap<LoopId, u32> = BTreeMap::new();
+        // Loop ids are dense and small (at most `MAX_LOOP_ID`), so the
+        // declared set is a flat array: validation never allocates.
+        let mut declared = [false; MAX_LOOP_ID as usize + 1];
         // Depth tracking: a loop declared at level L has body level L+1.
         let mut depth: u8 = 0;
         for (idx, t) in instrs.iter().enumerate() {
@@ -118,7 +122,7 @@ impl InstructionBlock {
                     if id.0 > MAX_LOOP_ID {
                         return Err(IsaError::LoopIdOutOfRange(id.0));
                     }
-                    if declared.contains_key(&id) {
+                    if declared[id.0 as usize] {
                         return Err(IsaError::DuplicateLoop(id.0));
                     }
                     if iterations == 0 {
@@ -138,11 +142,12 @@ impl InstructionBlock {
                             depth: MAX_LOOP_DEPTH,
                         });
                     }
-                    declared.insert(id, iterations);
+                    declared[id.0 as usize] = true;
                     depth = t.level + 1;
                 }
                 Instruction::GenAddr { loop_id, .. } => {
-                    if !declared.contains_key(&loop_id) {
+                    // An id past `MAX_LOOP_ID` was never declared.
+                    if !declared.get(loop_id.0 as usize).copied().unwrap_or(false) {
                         return Err(IsaError::UndeclaredLoop(loop_id.0));
                     }
                 }
@@ -164,6 +169,20 @@ impl InstructionBlock {
     /// The tagged instruction sequence.
     pub fn instructions(&self) -> &[TaggedInstruction] {
         &self.instructions
+    }
+
+    /// The instructions between `setup` and `block-end`: the loop nest the
+    /// folds in [`crate::walker`] and [`crate::program`] scan.
+    pub(crate) fn body(&self) -> &[TaggedInstruction] {
+        &self.instructions[1..self.instructions.len() - 1]
+    }
+
+    /// Instruction slots allocated for the block. Blocks built by
+    /// [`crate::BlockBuilder`] are exact-size (equal to [`Self::len`]),
+    /// which the compiler's allocation tests check.
+    #[doc(hidden)]
+    pub fn storage_capacity(&self) -> usize {
+        self.instructions.capacity()
     }
 
     /// Number of instructions (the paper reports 30–86 per layer; §IV-A).
@@ -352,9 +371,7 @@ impl LoopTree {
         // Stack of open bodies; index 0 is the block scope.
         let mut stack: Vec<Vec<BodyItem>> = vec![Vec::new()];
         let mut loops: Vec<(LoopId, u32)> = Vec::new(); // open loop headers
-        let interior =
-            &block.instructions[1..block.instructions.len() - 1];
-        for t in interior {
+        for t in block.body() {
             // `gen-addr` is declarative; it lives in the stride table only.
             if matches!(t.instruction, Instruction::GenAddr { .. }) {
                 continue;
@@ -581,6 +598,62 @@ mod tests {
             InstructionBlock::new("ga", DramBases::default(), instrs),
             Err(IsaError::UndeclaredLoop(5))
         ));
+    }
+
+    fn gen_addr(id: u8) -> TaggedInstruction {
+        tag(
+            Instruction::GenAddr {
+                loop_id: LoopId(id),
+                space: AddressSpace::OnChip,
+                buffer: Scratchpad::Obuf,
+                stride: 1,
+            },
+            0,
+        )
+    }
+
+    fn validate(body: Vec<TaggedInstruction>) -> Result<InstructionBlock, IsaError> {
+        let mut instrs = vec![setup()];
+        instrs.extend(body);
+        instrs.push(block_end());
+        InstructionBlock::new("edge", DramBases::default(), instrs)
+    }
+
+    #[test]
+    fn a_closed_loop_id_stays_declared() {
+        // Sibling loops: the first closes before the second reuses its id.
+        let lp = |id| tag(Instruction::Loop { id: LoopId(id), iterations: 2 }, 0);
+        let mac = tag(Instruction::Compute { op: ComputeFn::Mac }, 1);
+        assert_eq!(
+            validate(vec![lp(3), mac, lp(3), mac]),
+            Err(IsaError::DuplicateLoop(3))
+        );
+        // ... and a gen-addr after the loop closed still names it.
+        assert!(validate(vec![lp(3), mac, gen_addr(3)]).is_ok());
+    }
+
+    #[test]
+    fn gen_addr_ids_outside_the_declared_set_are_errors() {
+        let lp = |id| tag(Instruction::Loop { id: LoopId(id), iterations: 2 }, 0);
+        // Declared later, never declared, and past the id space: each an
+        // error, none an out-of-bounds index.
+        assert_eq!(
+            validate(vec![gen_addr(1), lp(1)]),
+            Err(IsaError::UndeclaredLoop(1))
+        );
+        assert_eq!(
+            validate(vec![lp(0), gen_addr(MAX_LOOP_ID)]),
+            Err(IsaError::UndeclaredLoop(MAX_LOOP_ID))
+        );
+        for id in [MAX_LOOP_ID + 1, u8::MAX] {
+            assert_eq!(
+                validate(vec![lp(0), gen_addr(id)]),
+                Err(IsaError::UndeclaredLoop(id))
+            );
+            assert_eq!(validate(vec![lp(id)]), Err(IsaError::LoopIdOutOfRange(id)));
+        }
+        // The last id of the space is usable.
+        assert!(validate(vec![lp(MAX_LOOP_ID), gen_addr(MAX_LOOP_ID)]).is_ok());
     }
 
     /// The Figure 12(b) pattern: tiled FC layer with post-body stores.

@@ -42,9 +42,10 @@ use crate::instruction::{
 #[derive(Debug, Clone)]
 pub struct BlockBuilder {
     name: String,
-    pair: PairPrecision,
     bases: DramBases,
-    body: Vec<TaggedInstruction>,
+    /// The block so far: `setup`, then the body. [`BlockBuilder::finish`]
+    /// appends `block-end` and hands this storage to the block as is.
+    instrs: Vec<TaggedInstruction>,
     depth: u8,
     next_loop_id: u8,
 }
@@ -53,11 +54,31 @@ impl BlockBuilder {
     /// Starts a block for the given precision pair (this becomes the `setup`
     /// instruction).
     pub fn new(name: impl Into<String>, pair: PairPrecision) -> Self {
+        Self::with_capacity(name, pair, 0)
+    }
+
+    /// Starts a block that will hold `instructions` instructions in all,
+    /// `setup` and `block-end` included. A caller that knows its block's
+    /// size (the compiler's lowering does) then fills one allocation of
+    /// exactly that size; a wrong count costs a reallocation, not
+    /// correctness.
+    pub fn with_capacity(
+        name: impl Into<String>,
+        pair: PairPrecision,
+        instructions: usize,
+    ) -> Self {
+        let mut instrs = Vec::with_capacity(instructions.max(2));
+        instrs.push(TaggedInstruction::new(
+            Instruction::Setup {
+                input: pair.input,
+                weight: pair.weight,
+            },
+            0,
+        ));
         BlockBuilder {
             name: name.into(),
-            pair,
             bases: DramBases::default(),
-            body: Vec::new(),
+            instrs,
             depth: 0,
             next_loop_id: 0,
         }
@@ -90,14 +111,15 @@ impl BlockBuilder {
         }
         if self.depth + 1 > MAX_LOOP_DEPTH {
             return Err(IsaError::LevelJump {
-                index: self.body.len(),
+                // The position in the body, `setup` not counted.
+                index: self.instrs.len() - 1,
                 level: self.depth + 1,
                 depth: MAX_LOOP_DEPTH,
             });
         }
         let id = LoopId(self.next_loop_id);
         self.next_loop_id += 1;
-        self.body.push(TaggedInstruction::new(
+        self.instrs.push(TaggedInstruction::new(
             Instruction::Loop { id, iterations },
             self.depth,
         ));
@@ -133,7 +155,7 @@ impl BlockBuilder {
         if loop_id.0 >= self.next_loop_id {
             return Err(IsaError::UndeclaredLoop(loop_id.0));
         }
-        self.body.push(TaggedInstruction::new(
+        self.instrs.push(TaggedInstruction::new(
             Instruction::GenAddr {
                 loop_id,
                 space,
@@ -158,7 +180,7 @@ impl BlockBuilder {
         words: u64,
     ) -> Result<&mut Self, IsaError> {
         self.check_dma(bits, words)?;
-        self.body.push(TaggedInstruction::new(
+        self.instrs.push(TaggedInstruction::new(
             Instruction::LdMem { buffer, bits, words },
             self.depth,
         ));
@@ -178,7 +200,7 @@ impl BlockBuilder {
         words: u64,
     ) -> Result<&mut Self, IsaError> {
         self.check_dma(bits, words)?;
-        self.body.push(TaggedInstruction::new(
+        self.instrs.push(TaggedInstruction::new(
             Instruction::StMem { buffer, bits, words },
             self.depth,
         ));
@@ -203,7 +225,7 @@ impl BlockBuilder {
 
     /// Emits a buffer→datapath read.
     pub fn rd_buf(&mut self, buffer: Scratchpad) -> &mut Self {
-        self.body.push(TaggedInstruction::new(
+        self.instrs.push(TaggedInstruction::new(
             Instruction::RdBuf { buffer },
             self.depth,
         ));
@@ -212,7 +234,7 @@ impl BlockBuilder {
 
     /// Emits a datapath→buffer write.
     pub fn wr_buf(&mut self, buffer: Scratchpad) -> &mut Self {
-        self.body.push(TaggedInstruction::new(
+        self.instrs.push(TaggedInstruction::new(
             Instruction::WrBuf { buffer },
             self.depth,
         ));
@@ -221,7 +243,7 @@ impl BlockBuilder {
 
     /// Emits a compute instruction.
     pub fn compute(&mut self, op: ComputeFn) -> &mut Self {
-        self.body.push(TaggedInstruction::new(
+        self.instrs.push(TaggedInstruction::new(
             Instruction::Compute { op },
             self.depth,
         ));
@@ -229,23 +251,17 @@ impl BlockBuilder {
     }
 
     /// Closes any open loops and finishes the block with `block-end next`.
+    /// The block's instruction storage is exact-size: spare capacity left
+    /// by [`BlockBuilder::new`]'s growth is released here.
     ///
     /// # Errors
     ///
     /// Propagates [`InstructionBlock::new`] validation errors.
     pub fn finish(mut self, next: u16) -> Result<InstructionBlock, IsaError> {
-        self.depth = 0;
-        let mut instrs = Vec::with_capacity(self.body.len() + 2);
-        instrs.push(TaggedInstruction::new(
-            Instruction::Setup {
-                input: self.pair.input,
-                weight: self.pair.weight,
-            },
-            0,
-        ));
-        instrs.extend(self.body);
-        instrs.push(TaggedInstruction::new(Instruction::BlockEnd { next }, 0));
-        InstructionBlock::new(self.name, self.bases, instrs)
+        self.instrs
+            .push(TaggedInstruction::new(Instruction::BlockEnd { next }, 0));
+        self.instrs.shrink_to_fit();
+        InstructionBlock::new(self.name, self.bases, self.instrs)
     }
 }
 
@@ -339,6 +355,30 @@ mod tests {
         for _ in 0..MAX_LOOP_DEPTH {
             b.open_loop(1).unwrap();
         }
-        assert!(matches!(b.open_loop(1), Err(IsaError::LevelJump { .. })));
+        // The index counts body instructions only, so the `setup` that
+        // heads the builder's storage does not shift it.
+        assert_eq!(
+            b.open_loop(1),
+            Err(IsaError::LevelJump {
+                index: MAX_LOOP_DEPTH as usize,
+                level: MAX_LOOP_DEPTH + 1,
+                depth: MAX_LOOP_DEPTH,
+            })
+        );
+    }
+
+    #[test]
+    fn finish_leaves_exact_size_storage() {
+        let mut grown = BlockBuilder::new("grown", pair());
+        let mut sized = BlockBuilder::with_capacity("sized", pair(), 5);
+        for b in [&mut grown, &mut sized] {
+            b.open_loop(4).unwrap();
+            b.compute(ComputeFn::Mac);
+            b.wr_buf(Scratchpad::Obuf);
+        }
+        let (grown, sized) = (grown.finish(0).unwrap(), sized.finish(0).unwrap());
+        assert_eq!(grown.instructions(), sized.instructions());
+        assert_eq!(grown.storage_capacity(), 5);
+        assert_eq!(sized.storage_capacity(), 5);
     }
 }

@@ -10,7 +10,10 @@
 //! the iteration.
 //!
 //! [`SegmentProgram::compile`] hoists all of it to build time, once per
-//! block:
+//! block, in two scans of the flat tagged list (no [`crate::LoopTree`] is
+//! built): the first marks which loops carry DMA, the second emits the ops
+//! from an explicit stack of open loops. Two allocations per build: the op
+//! and delta vectors, each sized up front.
 //!
 //! * each maximal DMA-free run (plain instructions and whole DMA-free
 //!   loop nests) folds into one constant per-iteration delta with its
@@ -36,8 +39,9 @@
 //! boundaries, so a consumer whose per-iteration update has reached a
 //! steady state can jump over the iterations left.
 
-use crate::block::{BodyItem, InstructionBlock};
-use crate::walker::{fold_instr, fold_items, subtree_has_dma, Segment};
+use crate::block::{BodyItem, InstructionBlock, MAX_LOOP_DEPTH};
+use crate::instruction::{Instruction, TaggedInstruction, MAX_LOOP_ID};
+use crate::walker::{fold_instr, fold_items, subtree_has_dma, summarize, Segment};
 
 /// A constant per-execution contribution: the folded access counts of one
 /// maximal DMA-free run, with its DMA bit totals pre-summed so replay (and
@@ -170,12 +174,110 @@ pub struct SegmentProgram {
     total: Segment,
 }
 
+/// Which loops carry DMA, by loop id, and the size of the block's body.
+struct BodyShape {
+    /// `dma[id]`: the loop's body issues `ld-mem`/`st-mem` at some depth.
+    dma: [bool; MAX_LOOP_ID as usize + 1],
+    /// Instructions that execute (neither `loop` nor `gen-addr`).
+    plain: usize,
+}
+
+impl BodyShape {
+    fn of(body: &[TaggedInstruction]) -> BodyShape {
+        let mut shape = BodyShape {
+            dma: [false; MAX_LOOP_ID as usize + 1],
+            plain: 0,
+        };
+        // open[l]: the loop at level l around the current instruction (in a
+        // validated block, the latest `loop` seen at that level).
+        let mut open = [0u8; MAX_LOOP_DEPTH as usize];
+        for t in body {
+            match t.instruction {
+                Instruction::Loop { id, .. } => open[t.level as usize] = id.0,
+                Instruction::GenAddr { .. } => {}
+                instr => {
+                    shape.plain += 1;
+                    if matches!(instr, Instruction::LdMem { .. } | Instruction::StMem { .. }) {
+                        for &id in &open[..t.level as usize] {
+                            shape.dma[id as usize] = true;
+                        }
+                    }
+                }
+            }
+        }
+        shape
+    }
+}
+
 impl SegmentProgram {
-    /// Compiles a block's loop tree into a segment program. Cost is
-    /// O(static block size) — every per-iteration decision of the naive
-    /// walk (`subtree_has_dma`, folding DMA-free nests, summing DMA bits)
-    /// is made exactly once here.
+    /// Compiles a block into a segment program. Cost is O(static block
+    /// size) — every per-iteration decision of the naive walk
+    /// (`subtree_has_dma`, folding DMA-free nests, summing DMA bits) is made
+    /// exactly once here.
     pub fn compile(block: &InstructionBlock) -> SegmentProgram {
+        let body = block.body();
+        let shape = BodyShape::of(body);
+        let dma_loops = shape.dma.iter().filter(|&&d| d).count();
+        // Each delta folds at least one executing instruction; each DMA
+        // loop adds at most a repeat and an emit; one trailing emit.
+        let mut program = SegmentProgram {
+            ops: Vec::with_capacity(shape.plain + 2 * dma_loops + 1),
+            deltas: Vec::with_capacity(shape.plain),
+            total: summarize(block),
+        };
+        // open[l]: the loop at level l that is open, as `Some((op index of
+        // its repeat, trip count))` when it is enumerated (carries DMA) and
+        // `None` when it folds into the pending delta.
+        let mut open = [None; MAX_LOOP_DEPTH as usize];
+        let mut depth = 0;
+        // mult[l]: folds of one instruction at level l into the pending
+        // delta — the trips of the DMA-free loops around it, up to the
+        // innermost enumerated loop.
+        let mut mult = [1u64; MAX_LOOP_DEPTH as usize + 1];
+        let mut pending = Segment::default();
+        for t in body {
+            if matches!(t.instruction, Instruction::GenAddr { .. }) {
+                continue;
+            }
+            let level = t.level as usize;
+            while depth > level {
+                depth -= 1;
+                if let Some((at, count)) = open[depth] {
+                    program.close_repeat(at, count, &mut pending);
+                }
+            }
+            match t.instruction {
+                Instruction::Loop { id, iterations } => {
+                    open[level] = if shape.dma[id.0 as usize] {
+                        program.flush(&mut pending);
+                        program.ops.push(Op::Repeat { count: iterations, end: 0 });
+                        mult[level + 1] = 1;
+                        Some((program.ops.len() - 1, iterations))
+                    } else {
+                        mult[level + 1] = mult[level] * iterations as u64;
+                        None
+                    };
+                    depth = level + 1;
+                }
+                ref instr => fold_instr(instr, mult[level], &mut pending),
+            }
+        }
+        while depth > 0 {
+            depth -= 1;
+            if let Some((at, count)) = open[depth] {
+                program.close_repeat(at, count, &mut pending);
+            }
+        }
+        program.flush(&mut pending);
+        program.ops.push(Op::Emit);
+        program
+    }
+
+    /// [`SegmentProgram::compile`] as a recursive walk of the reconstructed
+    /// [`crate::LoopTree`]: the executable specification the flat build is
+    /// tested against. Not for production use.
+    #[doc(hidden)]
+    pub fn compile_reference(block: &InstructionBlock) -> SegmentProgram {
         let tree = block.loop_tree();
         let mut program = SegmentProgram {
             ops: Vec::new(),
@@ -200,6 +302,25 @@ impl SegmentProgram {
         }
     }
 
+    /// Ends the body of the enumerated loop whose placeholder repeat sits at
+    /// op `at`: flushes the pending run, closes the iteration's segment,
+    /// and patches the placeholder.
+    fn close_repeat(&mut self, at: usize, count: u32, pending: &mut Segment) {
+        self.flush(pending);
+        self.ops.push(Op::Emit);
+        let end = u32::try_from(self.ops.len()).expect("static block size");
+        // Fuse the hot shape: a body of exactly [Delta, Emit] (the
+        // innermost tile loop) needs no accumulator.
+        match &self.ops[at + 1..] {
+            [Op::Delta(d), Op::Emit] => {
+                let delta = *d;
+                self.ops.truncate(at);
+                self.ops.push(Op::RepeatEmit { count, delta });
+            }
+            _ => self.ops[at] = Op::Repeat { count, end },
+        }
+    }
+
     fn compile_items(&mut self, items: &[BodyItem], pending: &mut Segment) {
         for item in items {
             match item {
@@ -209,27 +330,7 @@ impl SegmentProgram {
                     let at = self.ops.len();
                     self.ops.push(Op::Repeat { count: node.iterations, end: 0 });
                     self.compile_items(&node.body, pending);
-                    self.flush(pending);
-                    self.ops.push(Op::Emit);
-                    let end = u32::try_from(self.ops.len()).expect("static block size");
-                    // Fuse the hot shape: a body of exactly [Delta, Emit]
-                    // (the innermost tile loop) needs no accumulator.
-                    match &self.ops[at + 1..] {
-                        [Op::Delta(d), Op::Emit] => {
-                            let delta = *d;
-                            self.ops.truncate(at);
-                            self.ops.push(Op::RepeatEmit {
-                                count: node.iterations,
-                                delta,
-                            });
-                        }
-                        _ => {
-                            self.ops[at] = Op::Repeat {
-                                count: node.iterations,
-                                end,
-                            };
-                        }
-                    }
+                    self.close_repeat(at, node.iterations, pending);
                 }
                 BodyItem::Loop(node) => {
                     // DMA-free subtree: folded a single time, at build.

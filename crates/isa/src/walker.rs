@@ -8,8 +8,9 @@
 //! functional tests and small-scale inspection.
 //!
 //! The *summarizer* computes the same aggregate counts (DMA bits, buffer
-//! accesses, compute steps) analytically by folding the loop tree — O(static
-//! block size) instead of O(dynamic instruction count) — and is what the
+//! accesses, compute steps) analytically — O(static block size) instead of
+//! O(dynamic instruction count) — by one scan of the flat tagged list that
+//! keeps a multiplier per loop level, with no allocation; it is what the
 //! analytic performance model uses for full networks.
 //!
 //! The *segment iterator* ([`segments`]/[`for_each_segment`]) sits between
@@ -21,7 +22,7 @@
 //! backend consumes the segment stream to model double-buffered DMA/compute
 //! overlap without enumerating inner-loop iterations.
 
-use crate::block::{BodyItem, InstructionBlock, LoopTree};
+use crate::block::{BodyItem, InstructionBlock, LoopTree, MAX_LOOP_DEPTH};
 use crate::instruction::{AddressSpace, ComputeFn, Instruction, Scratchpad, MAX_LOOP_ID};
 use crate::program::SegmentProgram;
 
@@ -301,10 +302,36 @@ impl BlockSummary {
 
 /// Computes the aggregate execution counts of a block analytically (without
 /// enumerating loop iterations).
+///
+/// One scan of the tagged list, allocation-free: an instruction at level
+/// `l` runs once per iteration of the loops enclosing it, and in a
+/// validated block those are the latest `loop` seen at each level below
+/// `l`, so a multiplier per level is the whole loop tree this fold needs.
 pub fn summarize(block: &InstructionBlock) -> BlockSummary {
-    let tree = block.loop_tree();
     let mut summary = BlockSummary::default();
-    fold_items(&tree.body, 1, &mut summary);
+    // mult[l]: dynamic executions of one instruction at level l.
+    let mut mult = [1u64; MAX_LOOP_DEPTH as usize + 1];
+    for t in block.body() {
+        let level = t.level as usize;
+        match t.instruction {
+            Instruction::Loop { iterations, .. } => {
+                mult[level + 1] = mult[level] * iterations as u64;
+            }
+            // `gen-addr` is declarative: it never executes.
+            Instruction::GenAddr { .. } => {}
+            ref instr => fold_instr(instr, mult[level], &mut summary),
+        }
+    }
+    summary
+}
+
+/// [`summarize`] as a fold over the reconstructed [`LoopTree`]: the
+/// executable specification the flat scan is tested against. Not for
+/// production use.
+#[doc(hidden)]
+pub fn summarize_reference(block: &InstructionBlock) -> BlockSummary {
+    let mut summary = BlockSummary::default();
+    fold_items(&block.loop_tree().body, 1, &mut summary);
     summary
 }
 

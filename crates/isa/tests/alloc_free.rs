@@ -7,7 +7,9 @@
 //! with a counting global allocator: once a program is compiled, replaying
 //! it — any number of times, over any number of segments, segment by
 //! segment or run by run with loop-boundary callbacks — performs zero
-//! allocations and zero deallocations.
+//! allocations and zero deallocations. The builds before replay have
+//! budgets too: `summarize` allocates nothing, and a program build at most
+//! its op and delta vectors.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -206,4 +208,18 @@ fn segment_accumulator_clear_and_merge_are_allocation_free() {
     assert_eq!(a1 - a0, 0, "clear+merge must not allocate");
     assert_eq!(d1 - d0, 0, "clear+merge must not free");
     assert_eq!(acc, delta);
+}
+
+#[test]
+fn summarize_and_program_build_stay_within_budget() {
+    for block in [tiled_block(50, 40), tiled_block(1, 1)] {
+        let (a0, _) = heap_events();
+        let summary = summarize(&block);
+        let (a1, _) = heap_events();
+        let program = SegmentProgram::compile(&block);
+        let (a2, _) = heap_events();
+        assert_eq!(a1 - a0, 0, "summarize must not allocate");
+        assert!(a2 - a1 <= 2, "program build made {} allocations", a2 - a1);
+        assert_eq!(*program.total(), summary);
+    }
 }

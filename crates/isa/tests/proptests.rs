@@ -1,7 +1,8 @@
 //! Property tests for the Fusion-ISA: randomly generated valid blocks
 //! survive binary and text round trips, the analytic summarizer always
 //! agrees with brute-force walking, the segment iterator concatenates back
-//! to the summary, and the binary decoder never panics on arbitrary words.
+//! to the summary, the flat folds equal their loop-tree references at any
+//! block size, and the binary decoder never panics on arbitrary words.
 
 use bitfusion_core::bitwidth::PairPrecision;
 use bitfusion_isa::asm::{format_block, parse_block};
@@ -10,7 +11,8 @@ use bitfusion_isa::encode::{decode_block, encode_block};
 use bitfusion_isa::instruction::{AddressSpace, ComputeFn, Scratchpad};
 use bitfusion_isa::program::SegmentProgram;
 use bitfusion_isa::walker::{
-    for_each_segment, for_each_segment_reference, summarize, walk, BlockSummary, Event, Segment,
+    for_each_segment, for_each_segment_reference, summarize, summarize_reference, walk,
+    BlockSummary, Event, Segment,
 };
 use bitfusion_isa::InstructionBlock;
 use proptest::prelude::*;
@@ -82,6 +84,74 @@ fn build(recipe: &BlockRecipe) -> InstructionBlock {
     }
     b.st_mem(Scratchpad::Obuf, 8, 1).expect("valid dma");
     b.finish(0).expect("builder produces valid blocks")
+}
+
+/// A random loop nest as builder steps `(kind, trips, words)`: loops open
+/// and close anywhere (siblings, post-body instructions at every level,
+/// `gen-addr` at any depth), unlike [`arb_recipe`]'s single chain. Trip
+/// counts stay small enough that a 15-deep nest's counts fit `u64`.
+fn arb_nest() -> impl Strategy<Value = Vec<(u8, u32, u64)>> {
+    prop::collection::vec((0u8..8, 1u32..8, 1u64..1000), 0..48)
+}
+
+fn build_nest(steps: &[(u8, u32, u64)]) -> InstructionBlock {
+    let pair = PairPrecision::from_bits(4, 2).expect("supported");
+    let mut b = BlockBuilder::new("nest", pair);
+    let mut loops = Vec::new();
+    for &(kind, trips, words) in steps {
+        match kind {
+            0 if b.depth() < 15 && loops.len() < 65 => {
+                loops.push(b.open_loop(trips).expect("room"));
+            }
+            1 if b.depth() > 0 => {
+                b.close_loop();
+            }
+            2 => {
+                b.ld_mem(Scratchpad::Wbuf, 2, words).expect("valid dma");
+            }
+            3 => {
+                b.st_mem(Scratchpad::Obuf, 8, words).expect("valid dma");
+            }
+            4 if !loops.is_empty() => {
+                let id = loops[words as usize % loops.len()];
+                b.gen_addr(id, AddressSpace::OffChip, Scratchpad::Ibuf, words)
+                    .expect("declared loop");
+            }
+            5 => {
+                b.rd_buf(Scratchpad::Ibuf);
+            }
+            _ => {
+                b.compute(ComputeFn::Mac);
+            }
+        }
+    }
+    b.finish(0).expect("builder produces valid blocks")
+}
+
+/// The flat folds against their loop-tree references: the whole program
+/// (ops, deltas, total), not only the totals.
+fn check_flat_folds(block: &InstructionBlock) -> Result<(), TestCaseError> {
+    let summary = summarize(block);
+    prop_assert_eq!(summary, summarize_reference(block));
+    let program = SegmentProgram::compile(block);
+    prop_assert_eq!(*program.total(), summary);
+    prop_assert_eq!(program, SegmentProgram::compile_reference(block));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flat_folds_equal_the_loop_tree_folds(recipe in arb_recipe()) {
+        // Every block size: no walk, so no guard on the dynamic count.
+        check_flat_folds(&build(&recipe))?;
+    }
+
+    #[test]
+    fn flat_folds_equal_the_loop_tree_folds_on_random_nests(steps in arb_nest()) {
+        check_flat_folds(&build_nest(&steps))?;
+    }
 }
 
 proptest! {
