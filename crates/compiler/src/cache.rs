@@ -40,7 +40,7 @@
 //! cache".
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 use bitfusion_core::arch::ArchConfig;
@@ -109,8 +109,17 @@ impl ArtifactKey {
 /// FNV-1a as a [`Hasher`]: the one hash behind every cache key in the
 /// workspace (see [`fnv1a`]). Byte strings fold one byte per step, as
 /// FNV-1a specifies; integers — nearly everything a derived `Hash` writes
-/// — fold one whole word per step (see [`Fnv1a::word`]).
-struct Fnv1a(u64);
+/// — fold one whole word per step, rotated so high bits reach the next
+/// multiply.
+///
+/// Through [`FnvBuildHasher`] it also hashes in-process tables whose keys
+/// are already fingerprints or small integer structs, where std's seeded
+/// SipHash costs more than the lookups it guards.
+pub struct Fnv1a(u64);
+
+/// Builds [`Fnv1a`] hashers: `HashMap<K, V, FnvBuildHasher>` is an unseeded
+/// FNV-1a map (`HashMap::default()` constructs one).
+pub type FnvBuildHasher = BuildHasherDefault<Fnv1a>;
 
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 

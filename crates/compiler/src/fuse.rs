@@ -83,8 +83,6 @@ pub struct FusedGroup {
     pub name: String,
     /// Index of the MAC layer in `model.layers`.
     pub mac_index: usize,
-    /// Indices of the fused successor layers.
-    pub fused_indices: Vec<usize>,
     /// The post-ops, in order.
     pub postops: Vec<PostOp>,
 }
@@ -108,7 +106,6 @@ pub fn fuse_layers(model: &Model, batch: u64) -> Result<Vec<FusedGroup>, Compile
                 groups.push(FusedGroup {
                     name: named.name.clone(),
                     mac_index: idx,
-                    fused_indices: Vec::new(),
                     postops: Vec::new(),
                 });
             }
@@ -116,7 +113,6 @@ pub fn fuse_layers(model: &Model, batch: u64) -> Result<Vec<FusedGroup>, Compile
                 groups.push(FusedGroup {
                     name: named.name.clone(),
                     mac_index: idx,
-                    fused_indices: Vec::new(),
                     postops: vec![PostOp::RecurrentCell {
                         ops: product(r.elementwise_ops(), batch, "recurrent elementwise op")?,
                     }],
@@ -124,7 +120,6 @@ pub fn fuse_layers(model: &Model, batch: u64) -> Result<Vec<FusedGroup>, Compile
             }
             Layer::Pool2d(p) => {
                 if let Some(g) = groups.last_mut() {
-                    g.fused_indices.push(idx);
                     g.postops.push(PostOp::Pool {
                         window: (p.window.0 * p.window.1) as u64,
                         // Stored outputs shrink by the stride product.
@@ -135,13 +130,11 @@ pub fn fuse_layers(model: &Model, batch: u64) -> Result<Vec<FusedGroup>, Compile
             }
             Layer::Activation(_) => {
                 if let Some(g) = groups.last_mut() {
-                    g.fused_indices.push(idx);
                     g.postops.push(PostOp::Relu);
                 }
             }
             Layer::Eltwise(e) => {
                 if let Some(g) = groups.last_mut() {
-                    g.fused_indices.push(idx);
                     g.postops.push(PostOp::Residual {
                         elems: product(e.elements as u64, batch, "residual element")?,
                         bits: model.layers[g.mac_index]

@@ -36,8 +36,8 @@ pub mod plan;
 pub mod tiling;
 
 pub use cache::{
-    layer_fingerprint, ArtifactCache, ArtifactKey, CacheStats, CachedPlan, LayerArtifactCache,
-    LayerKey,
+    layer_fingerprint, ArtifactCache, ArtifactKey, CacheStats, CachedPlan, FnvBuildHasher,
+    LayerArtifactCache, LayerKey,
 };
 pub use error::CompileError;
 pub use fuse::{fuse_layers, FusedGroup, PostOp};

@@ -51,11 +51,17 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Allocations `compile` may make per compiled layer, averaged over a
-/// network (the zoo reads 5.1–6.5). What is left: per layer, fusion's group
-/// name and post-op `Vec`, the tile search's row list, and the block's name
-/// and instructions; per plan, the growing group `Vec`, the layer `Vec` and
+/// network (the zoo reads 4.7–6.5; the two recurrent nets, with no fused
+/// successors, read 6.5). What is left: per layer, fusion's group name and
+/// post-op `Vec`, the tile search's row list, and the block's name and
+/// instructions; per plan, the growing group `Vec`, the layer `Vec` and
 /// the model name.
-const COMPILE_ALLOCS_PER_LAYER: f64 = 7.0;
+const COMPILE_ALLOCS_PER_LAYER: f64 = 6.5;
+
+/// Allocations `compile` may make over the whole zoo at batch 16 (it reads
+/// 312): the per-net average above cannot see one allocation more per
+/// fused group.
+const COMPILE_ALLOCS_ZOO: u64 = 312;
 
 fn zoo_plans() -> Vec<(Benchmark, ExecutionPlan)> {
     let arch = ArchConfig::isca_45nm();
@@ -82,6 +88,10 @@ fn compile_stays_within_its_per_layer_budget() {
         layers += plan.layers.len();
     }
     assert_eq!(layers, 63, "the zoo's layer count at batch 16");
+    assert!(
+        allocs <= COMPILE_ALLOCS_ZOO,
+        "compile: {allocs} allocations over the zoo"
+    );
     eprintln!("compile: {allocs} allocations over {layers} layers");
 }
 

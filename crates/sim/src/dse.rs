@@ -33,14 +33,21 @@
 //!   is evaluated once, and once for its whole bandwidth axis through
 //!   [`SimBackend::evaluate_layer_bandwidths`] (the event backend builds
 //!   the layer's segment program once and replays it per bandwidth).
-//!   Points are assembled from the job results by index, with no lock
-//!   per layer; the layer tier ([`crate::layer_cache`]) is not read.
+//!   The layer tier ([`crate::layer_cache`]) is not read.
 //!   [`DseResult::layer_evals`] / [`DseResult::layer_unique`] report the
 //!   spec-level sharing;
-//! * **worker model** — unique compilations, then evaluation jobs, are
-//!   each sharded across a [`crate::pool`] scoped thread pool. Results
-//!   land in index order, so the output — and every Pareto frontier
-//!   derived from it — is bit-identical for any worker count;
+//! * **totals-only points** — each [`DsePoint`] keeps the workload's
+//!   cycles, energy and stall totals, folded from the job results by
+//!   index in layer order (so they equal a per-point
+//!   [`PerfReport`](crate::stats::PerfReport)'s totals bit for bit), with
+//!   no per-layer copy and no lock per layer;
+//! * **worker model** — unique compilations (each also hashing its plan's
+//!   layer fingerprints), then evaluation jobs, are each sharded by
+//!   [`crate::pool::map_indexed`], the calling thread working as one of
+//!   the workers. Results land in index order, so the output — and every
+//!   Pareto frontier derived from it — is bit-identical for any worker
+//!   count. The serial glue's tables hash with the repo's FNV-1a
+//!   ([`FnvBuildHasher`]);
 //! * **reduction** — per-architecture aggregation over the whole workload
 //!   suite ([`DseResult::arch_summaries`]) and the non-dominated subset
 //!   ([`DseResult::pareto_frontier`]) over minimized
@@ -53,19 +60,22 @@
 
 use std::collections::HashMap;
 
-use bitfusion_compiler::{layer_fingerprint, ArtifactCache, ArtifactKey, CachedPlan, CompileError};
+use bitfusion_compiler::{
+    layer_fingerprint, ArtifactCache, ArtifactKey, CachedPlan, CompileError, FnvBuildHasher,
+};
 use bitfusion_core::arch::ArchConfig;
+use bitfusion_core::error::CoreError;
 use bitfusion_core::grid::ArchGrid;
 use bitfusion_dnn::model::Model;
 use bitfusion_dnn::quantspec::QuantSpec;
 use bitfusion_dnn::zoo::Benchmark;
-use bitfusion_energy::{ChipArea, FusionEnergy};
+use bitfusion_energy::{ChipArea, EnergyBreakdown, FusionEnergy};
 
 use crate::backend::SimBackend;
 use crate::engine::SimOptions;
 use crate::layer_cache::LayerPerfCache;
 use crate::pool::map_indexed;
-use crate::stats::{LayerPerf, PerfReport, StallBreakdown};
+use crate::stats::{LayerPerf, StallBreakdown};
 
 /// The workload × architecture space one exploration covers.
 #[derive(Debug, Clone)]
@@ -163,8 +173,13 @@ impl std::fmt::Display for TooManyPoints {
 
 impl std::error::Error for TooManyPoints {}
 
-/// One evaluated point of the exploration.
-#[derive(Debug, Clone)]
+/// One evaluated point of the exploration: where it ran and the
+/// workload's totals over the plan's layers. Per-layer detail is not kept
+/// (the reductions read only totals); run the point through
+/// [`crate::BitFusionSim::run_plan`] for a per-layer [`PerfReport`].
+///
+/// [`PerfReport`]: crate::stats::PerfReport
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsePoint {
     /// The architecture of this grid point.
     pub arch: ArchConfig,
@@ -174,21 +189,23 @@ pub struct DsePoint {
     pub quant: String,
     /// Batch size.
     pub batch: u64,
-    /// Full simulation result (per-layer detail, stall attribution).
-    pub report: PerfReport,
+    /// Total cycles for the workload at this point.
+    pub cycles: u64,
+    /// Energy for the workload by component, in pJ, summed in layer order
+    /// (bit-identical to [`PerfReport::total_energy`]).
+    ///
+    /// [`PerfReport::total_energy`]: crate::stats::PerfReport::total_energy
+    pub energy: EnergyBreakdown,
+    /// Stall attribution summed over the layers.
+    pub stalls: StallBreakdown,
     /// Whole-chip area of the architecture at the evaluated node, in mm².
     pub area_mm2: f64,
 }
 
 impl DsePoint {
-    /// Total cycles for the workload at this point.
-    pub fn cycles(&self) -> u64 {
-        self.report.total_cycles()
-    }
-
     /// Total energy for the workload at this point, in pJ.
     pub fn energy_pj(&self) -> f64 {
-        self.report.total_energy().total_pj()
+        self.energy.total_pj()
     }
 }
 
@@ -306,28 +323,26 @@ impl DseResult {
     /// suite, in point order (models outermost, bandwidth innermost).
     pub fn arch_summaries(&self) -> Vec<ArchSummary> {
         let mut order: Vec<ArchSummary> = Vec::new();
-        let mut index: HashMap<(ArchKey, String), usize> = HashMap::new();
+        let mut index: HashMap<(ArchKey, &str), usize, FnvBuildHasher> = HashMap::default();
         for p in &self.points {
-            let key = (ArchKey::of(&p.arch), p.quant.clone());
-            let i = *index.entry(key).or_insert_with(|| {
-                order.push(ArchSummary {
-                    arch: p.arch.clone(),
-                    quant: p.quant.clone(),
-                    area_mm2: p.area_mm2,
-                    total_cycles: 0,
-                    total_energy_pj: 0.0,
-                    stalls: StallBreakdown::default(),
-                    workloads: 0,
+            let i = *index
+                .entry((ArchKey::of(&p.arch), p.quant.as_str()))
+                .or_insert_with(|| {
+                    order.push(ArchSummary {
+                        arch: p.arch.clone(),
+                        quant: p.quant.clone(),
+                        area_mm2: p.area_mm2,
+                        total_cycles: 0,
+                        total_energy_pj: 0.0,
+                        stalls: StallBreakdown::default(),
+                        workloads: 0,
+                    });
+                    order.len() - 1
                 });
-                order.len() - 1
-            });
             let s = &mut order[i];
-            s.total_cycles += p.cycles();
+            s.total_cycles += p.cycles;
             s.total_energy_pj += p.energy_pj();
-            let st = p.report.total_stalls();
-            s.stalls.bandwidth_starved += st.bandwidth_starved;
-            s.stalls.compute_starved += st.compute_starved;
-            s.stalls.fill_drain += st.fill_drain;
+            s.stalls += p.stalls;
             s.workloads += 1;
         }
         order
@@ -385,9 +400,9 @@ impl DseResult {
     /// policies per network.
     pub fn quant_summaries(&self) -> Vec<QuantSummary> {
         let mut order: Vec<QuantSummary> = Vec::new();
-        let mut index: HashMap<(String, String), usize> = HashMap::new();
+        let mut index: HashMap<(&str, &str), usize, FnvBuildHasher> = HashMap::default();
         for p in &self.points {
-            let key = (p.model_name.clone(), p.quant.clone());
+            let key = (p.model_name.as_str(), p.quant.as_str());
             let i = *index.entry(key).or_insert_with(|| {
                 order.push(QuantSummary {
                     model: p.model_name.clone(),
@@ -399,7 +414,7 @@ impl DseResult {
                 order.len() - 1
             });
             let s = &mut order[i];
-            s.total_cycles += p.cycles();
+            s.total_cycles += p.cycles;
             s.total_energy_pj += p.energy_pj();
             s.workloads += 1;
         }
@@ -562,13 +577,14 @@ pub fn explore<B: SimBackend + Sync + ?Sized>(
 /// layer tier itself is deleted (ROADMAP, "Delete the layer tier"),
 /// because perfbench's traced run passes one.
 ///
-/// Two sharded phases: every unique compilation not already resident in
-/// `cache` first (each exactly once, whatever the worker count), then one
-/// job per unique (layer fingerprint, compile key) — a repeated shape is
-/// evaluated once however many points and layers request it, and once for
-/// its whole bandwidth axis through
-/// [`SimBackend::evaluate_layer_bandwidths`]. Points are assembled from the
-/// job results by index; no phase takes a lock per layer. Invalid
+/// Two sharded phases: every unique artifact first — compiled exactly
+/// once when not already resident in `cache`, whatever the worker count,
+/// and its layer fingerprints hashed in the same job — then one job per
+/// unique (layer fingerprint, compile key): a repeated shape is evaluated
+/// once however many points and layers request it, and once for its whole
+/// bandwidth axis through [`SimBackend::evaluate_layer_bandwidths`]. Each
+/// point's totals are folded from the job results by index; no phase
+/// takes a lock per layer. Invalid
 /// configurations and compile failures become [`InfeasiblePoint`]s rather
 /// than aborting the sweep — a wide grid is expected to contain corners no
 /// tiling fits.
@@ -606,13 +622,16 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
         .iter()
         .flat_map(|m| spec.quant_specs.iter().map(|q| q.apply(m)))
         .collect();
+    let validity: Vec<Result<(), CoreError>> = archs.iter().map(ArchConfig::validate).collect();
 
     // Point enumeration, deterministic: models → quant specs → batches →
-    // grid order.
+    // grid order. `key` is the point's index into `unique` below, for the
+    // points that reach the compiler.
     struct PointRef {
         variant: usize,
         batch: u64,
         arch: usize,
+        key: Option<usize>,
     }
     let mut point_refs: Vec<PointRef> = Vec::with_capacity(spec.len().unwrap_or(0));
     for variant in 0..variants.len() {
@@ -622,29 +641,27 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
                     variant,
                     batch,
                     arch,
+                    key: None,
                 });
             }
         }
     }
-    let feasible = |p: &PointRef| {
-        archs[p.arch].validate().is_ok() && variants[p.variant].is_ok()
-    };
 
     // Phase 1: resolve each unique (variant, batch, compile-relevant arch
     // fields) key — from the shared cache when resident, compiling exactly
     // once otherwise, sharded across the pool. Invalid configs and failed
     // quantizations are filtered here so compilation never sees them.
-    let mut key_index: HashMap<(usize, CompileKey), usize> = HashMap::new();
+    let mut key_index: HashMap<(usize, CompileKey), usize, FnvBuildHasher> = HashMap::default();
     let mut unique: Vec<((usize, CompileKey), usize)> = Vec::new(); // key + an arch index
-    for p in &point_refs {
-        if !feasible(p) {
+    for p in &mut point_refs {
+        if validity[p.arch].is_err() || variants[p.variant].is_err() {
             continue;
         }
         let key = (p.variant, CompileKey::of(p.batch, &archs[p.arch]));
-        key_index.entry(key).or_insert_with(|| {
+        p.key = Some(*key_index.entry(key).or_insert_with(|| {
             unique.push((key, p.arch));
             unique.len() - 1
-        });
+        }));
     }
     // One fingerprint per variant, not one per (variant, geometry) key.
     // The fingerprint covers precisions, so two quantizations of the same
@@ -656,130 +673,123 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
             Err(_) => 0,
         })
         .collect();
-    let mut plans: Vec<Option<CachedPlan>> = vec![None; unique.len()];
-    let mut akeys: Vec<ArtifactKey> = Vec::with_capacity(unique.len());
-    let mut canonical: HashMap<ArtifactKey, usize> = HashMap::new();
-    let mut aliases: Vec<(usize, usize)> = Vec::new(); // (duplicate, canonical)
-    let mut missing: Vec<usize> = Vec::new(); // indices into `unique`
-    for (i, ((variant, key), arch_idx)) in unique.iter().enumerate() {
-        let model = variants[*variant].as_ref().expect("feasible variant");
-        let akey = ArtifactKey::with_fingerprint(
-            &model.name,
-            fingerprints[*variant],
-            &archs[*arch_idx],
-            key.batch,
-        );
-        akeys.push(akey.clone());
-        match canonical.entry(akey) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                // Two spec entries resolving to one artifact (e.g. the same
-                // model listed twice, or two quant specs assigning the same
-                // precisions): alias, never compile it twice.
-                aliases.push((i, *e.get()));
-                continue;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(i);
-            }
-        }
-        plans[i] = cache.lookup(&akeys[i]);
-        if plans[i].is_none() {
-            missing.push(i);
-        }
-    }
-    // Compile outside the cache lock (sharded), then publish each result.
-    let compiled: Vec<CachedPlan> = map_indexed(missing.len(), workers, |m| {
-        let ((variant, key), arch_idx) = unique[missing[m]];
-        CachedPlan::new(bitfusion_compiler::compile(
-            variants[variant].as_ref().expect("feasible variant"),
-            &archs[arch_idx],
-            key.batch,
-        ))
-    });
-    for (&m, plan) in missing.iter().zip(compiled) {
-        cache.insert(akeys[m].clone(), plan.clone());
-        plans[m] = Some(plan);
-    }
-    for (duplicate, canon) in aliases {
-        plans[duplicate] = plans[canon].clone();
-    }
-    let compile_unique = canonical.len() as u64;
-    let plans: Vec<CachedPlan> = plans.into_iter().map(|p| p.expect("resolved")).collect();
-    let compile_misses = missing.len() as u64;
-    let compile_hits = point_refs.iter().filter(|p| feasible(p)).count() as u64 - compile_misses;
-
-    // Layer fingerprints, hashed once per unique plan (not once per point ×
-    // layer).
-    let layer_fps: Vec<Option<Vec<u64>>> = plans
+    // Two spec entries can resolve to one artifact (e.g. the same model
+    // listed twice, or two quant specs assigning the same precisions):
+    // `owner` maps every unique key to its artifact's index in `artifacts`,
+    // so none is compiled twice.
+    let mut canonical: HashMap<ArtifactKey, usize, FnvBuildHasher> = HashMap::default();
+    let mut artifacts: Vec<(usize, ArtifactKey, Option<CachedPlan>)> = Vec::new(); // unique index, key, resident plan
+    let owner: Vec<usize> = unique
         .iter()
-        .map(|p| match p.as_ref() {
-            Ok(plan) => Some(plan.layers.iter().map(layer_fingerprint).collect()),
-            Err(_) => None,
+        .enumerate()
+        .map(|(u, ((variant, key), arch_idx))| {
+            let model = variants[*variant].as_ref().expect("feasible variant");
+            let akey = ArtifactKey::with_fingerprint(
+                &model.name,
+                fingerprints[*variant],
+                &archs[*arch_idx],
+                key.batch,
+            );
+            *canonical.entry(akey).or_insert_with_key(|akey| {
+                artifacts.push((u, akey.clone(), cache.lookup(akey)));
+                artifacts.len() - 1
+            })
         })
         .collect();
+    // Compile what is not resident outside the cache lock, and hash each
+    // plan's layer fingerprints in the same job, sharded.
+    let resolved: Vec<(CachedPlan, Option<Vec<u64>>)> =
+        map_indexed(artifacts.len(), workers, |a| {
+            let (u, _, resident) = &artifacts[a];
+            let ((variant, key), arch_idx) = unique[*u];
+            let plan = resident.clone().unwrap_or_else(|| {
+                CachedPlan::new(bitfusion_compiler::compile(
+                    variants[variant].as_ref().expect("feasible variant"),
+                    &archs[arch_idx],
+                    key.batch,
+                ))
+            });
+            let fps = match plan.as_ref() {
+                Ok(plan) => Some(plan.layers.iter().map(layer_fingerprint).collect()),
+                Err(_) => None,
+            };
+            (plan, fps)
+        });
+    let mut compile_misses = 0;
+    for ((_, akey, resident), (plan, _)) in artifacts.iter().zip(&resolved) {
+        if resident.is_none() {
+            cache.insert(akey.clone(), plan.clone());
+            compile_misses += 1;
+        }
+    }
+    let compile_unique = artifacts.len() as u64;
+    let compile_hits = point_refs.iter().filter(|p| p.key.is_some()).count() as u64 - compile_misses;
 
-    // Phase 2 job table, from one walk over the points' layers: one job
-    // per (layer fingerprint, compile key) — every `LayerKey` field but the
-    // bandwidth, the context being fixed for the run — carrying each
-    // bandwidth its points request. `slots` records, for every layer of
-    // every point with a compiled plan (in point order), the job and
-    // bandwidth that answer it.
+    // Phase 2 job table: one job per (layer fingerprint, compile key) —
+    // every `LayerKey` field but the bandwidth, the context being fixed
+    // for the run — built once per artifact (`plan_jobs` lists the job of
+    // each of its layers), then one walk over the points adds the
+    // bandwidths they request.
     struct Job {
-        plan: usize,
+        artifact: usize,
         layer: usize,
         arch: usize,
         bandwidths: Vec<u32>,
     }
     let mut jobs: Vec<Job> = Vec::new();
-    let mut job_index: HashMap<(u64, CompileKey), usize> = HashMap::new();
-    let mut slots: Vec<(usize, usize)> = Vec::new();
+    let mut job_index: HashMap<(u64, CompileKey), usize, FnvBuildHasher> = HashMap::default();
+    let plan_jobs: Vec<Option<Vec<usize>>> = artifacts
+        .iter()
+        .zip(&resolved)
+        .enumerate()
+        .map(|(a, ((u, _, _), (_, fps)))| {
+            let ((_, key), arch) = unique[*u];
+            let fps = fps.as_ref()?;
+            Some(
+                fps.iter()
+                    .enumerate()
+                    .map(|(layer, &fp)| {
+                        *job_index.entry((fp, key)).or_insert_with(|| {
+                            jobs.push(Job {
+                                artifact: a,
+                                layer,
+                                arch,
+                                bandwidths: Vec::new(),
+                            });
+                            jobs.len() - 1
+                        })
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut layer_evals = 0;
     for p in &point_refs {
-        if !feasible(p) {
-            continue;
-        }
-        let arch = &archs[p.arch];
-        let key = CompileKey::of(p.batch, arch);
-        let idx = key_index[&(p.variant, key)];
-        let Some(fps) = &layer_fps[idx] else {
+        let Some(layer_jobs) = p.key.and_then(|u| plan_jobs[owner[u]].as_ref()) else {
             continue;
         };
-        for (layer, &fp) in fps.iter().enumerate() {
-            let j = *job_index.entry((fp, key)).or_insert_with(|| {
-                jobs.push(Job {
-                    plan: idx,
-                    layer,
-                    arch: p.arch,
-                    bandwidths: Vec::new(),
-                });
-                jobs.len() - 1
-            });
+        let bandwidth = archs[p.arch].dram_bits_per_cycle;
+        for &j in layer_jobs {
             let bandwidths = &mut jobs[j].bandwidths;
-            let slot = match bandwidths
-                .iter()
-                .position(|&b| b == arch.dram_bits_per_cycle)
-            {
-                Some(slot) => slot,
-                None => {
-                    bandwidths.push(arch.dram_bits_per_cycle);
-                    bandwidths.len() - 1
-                }
-            };
-            slots.push((j, slot));
+            if !bandwidths.contains(&bandwidth) {
+                bandwidths.push(bandwidth);
+            }
         }
+        layer_evals += layer_jobs.len() as u64;
     }
     // Spec-level layer counters, from the job table alone: how many layer
     // evaluations the points request, and how many unique `LayerKey`s
     // (job × bandwidth) they resolve to. Warmth-independent by
     // construction, so protocol responses built on them stay
     // byte-identical between cold and warm sessions.
-    let layer_evals = slots.len() as u64;
     let layer_unique = jobs.iter().map(|j| j.bandwidths.len() as u64).sum();
 
     // Phase 2: evaluate every job once, sharded: one call per unique
     // layer and geometry, covering its whole bandwidth axis.
     let results: Vec<Vec<LayerPerf>> = map_indexed(jobs.len(), workers, |j| {
         let job = &jobs[j];
-        let plan = plans[job.plan]
+        let plan = resolved[job.artifact]
+            .0
             .as_ref()
             .as_ref()
             .expect("jobs come from Ok plans");
@@ -792,8 +802,13 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
         )
     });
 
-    // Assemble the points in spec order from the results, by index.
-    let mut slots = slots.into_iter();
+    // Assemble the points in spec order: each point's totals are folded
+    // from its layers' job results, by index and in layer order, so the
+    // energy sums equal `PerfReport::total_energy` bit for bit.
+    let areas: Vec<f64> = archs
+        .iter()
+        .map(|arch| ChipArea::of(arch, opts.node).chip_mm2())
+        .collect();
     let mut points = Vec::new();
     let mut infeasible = Vec::new();
     for p in &point_refs {
@@ -809,8 +824,8 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
                 error,
             })
         };
-        if let Err(e) = arch.validate() {
-            fail(PointError::InvalidConfig(e));
+        if let Err(e) = &validity[p.arch] {
+            fail(PointError::InvalidConfig(e.clone()));
             continue;
         }
         let model = match &variants[p.variant] {
@@ -820,38 +835,35 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
                 continue;
             }
         };
-        let idx = key_index[&(p.variant, CompileKey::of(p.batch, arch))];
-        let plan = match plans[idx].as_ref() {
-            Ok(plan) => plan,
-            Err(e) => {
-                fail(PointError::Compile(e.clone()));
-                continue;
-            }
-        };
-        let layers = plan
-            .layers
-            .iter()
-            .map(|l| {
-                let (j, slot) = slots.next().expect("one slot per layer");
-                // Identical twins at different depths share a job; only
-                // the name is per-instance.
-                let mut perf = results[j][slot].clone();
-                perf.name.clone_from(&l.name);
-                perf
-            })
-            .collect();
+        let a = owner[p.key.expect("feasible point")];
+        if let Err(e) = resolved[a].0.as_ref() {
+            fail(PointError::Compile(e.clone()));
+            continue;
+        }
+        let mut cycles = 0;
+        let mut energy = EnergyBreakdown::default();
+        let mut stalls = StallBreakdown::default();
+        for &j in plan_jobs[a].as_ref().expect("Ok plans have jobs") {
+            let job = &jobs[j];
+            let slot = job
+                .bandwidths
+                .iter()
+                .position(|&b| b == arch.dram_bits_per_cycle)
+                .expect("every point's bandwidth is in its jobs");
+            let perf = &results[j][slot];
+            cycles += perf.cycles;
+            energy += perf.energy;
+            stalls += perf.stalls;
+        }
         points.push(DsePoint {
             arch: arch.clone(),
             model_name: model.name.clone(),
             quant: quant.clone(),
             batch: p.batch,
-            report: PerfReport {
-                model_name: model.name.clone(),
-                batch: p.batch,
-                freq_mhz: arch.freq_mhz,
-                layers,
-            },
-            area_mm2: ChipArea::of(arch, opts.node).chip_mm2(),
+            cycles,
+            energy,
+            stalls,
+            area_mm2: areas[p.arch],
         });
     }
     DseResult {
@@ -981,9 +993,7 @@ mod tests {
         assert_eq!(warm.compile_unique, 16, "spec-level sharing is warmth-independent");
         assert_eq!(cold.compile_unique, 16);
         assert_eq!(cold.points.len(), warm.points.len());
-        for (a, b) in cold.points.iter().zip(&warm.points) {
-            assert_eq!(a.report, b.report, "{}/{}", a.model_name, a.batch);
-        }
+        assert_eq!(cold.points, warm.points);
         let stats = cache.stats();
         assert_eq!(stats.len, 16);
         assert_eq!(stats.evictions, 0);
@@ -1039,9 +1049,12 @@ mod tests {
                             let fp = layer_fingerprint(l);
                             layer_keys.insert(LayerKey::of(fp, &arch, batch, context));
                         }
+                        let report =
+                            BitFusionSim::with_backend(arch.clone(), backend).run_plan(&plan);
                         points.push(DsePoint {
-                            report: BitFusionSim::with_backend(arch.clone(), backend)
-                                .run_plan(&plan),
+                            cycles: report.total_cycles(),
+                            energy: report.total_energy(),
+                            stalls: report.total_stalls(),
                             area_mm2: ChipArea::of(&arch, spec.options.node).chip_mm2(),
                             arch,
                             model_name: variant.name.clone(),
@@ -1079,6 +1092,16 @@ mod tests {
                 (0, 0, 0),
                 "{name}/{workers}w: explore must not touch the layer tier"
             );
+            assert_eq!(result.points.len(), oracle.points.len(), "{name}/{workers}w");
+            for (got, want) in result.points.iter().zip(&oracle.points) {
+                let at = format!("{name}/{workers}w: {} on {}", want.model_name, want.arch);
+                assert_eq!(got.cycles, want.cycles, "{at}: cycles");
+                assert_eq!(got.stalls, want.stalls, "{at}: stalls");
+                let bits = |e: &EnergyBreakdown| {
+                    [e.compute_pj, e.buffer_pj, e.rf_pj, e.dram_pj].map(f64::to_bits)
+                };
+                assert_eq!(bits(&got.energy), bits(&want.energy), "{at}: energy");
+            }
             assert_eq!(
                 format!("{:?}", result.points),
                 format!("{:?}", oracle.points),
@@ -1118,7 +1141,10 @@ mod tests {
         // LSTM's paper assignment is uniform 4/4; the 16-bit variant tiles
         // differently, so the two points must not share layer keys beyond
         // what each shares internally.
-        let per_point: u64 = result.points[0].report.layers.len() as u64;
+        let per_point = bitfusion_compiler::compile(&spec.models[0], &ArchConfig::isca_45nm(), 1)
+            .unwrap()
+            .layers
+            .len() as u64;
         assert_eq!(result.layer_evals, 2 * per_point);
         assert!(
             result.layer_unique > per_point,
@@ -1142,7 +1168,7 @@ mod tests {
         assert_eq!(result.compile_misses, 1, "identical models compile once");
         assert_eq!(result.compile_unique, 1);
         assert_eq!(result.spec_compile_hits(), 1);
-        assert_eq!(result.points[0].report, result.points[1].report);
+        assert_eq!(result.points[0], result.points[1]);
     }
 
     #[test]
@@ -1152,12 +1178,7 @@ mod tests {
         for workers in [2, 4, 8] {
             let parallel = explore(&spec, &AnalyticBackend, workers);
             assert_eq!(sequential.points.len(), parallel.points.len());
-            for (a, b) in sequential.points.iter().zip(&parallel.points) {
-                assert_eq!(a.arch, b.arch, "{workers} workers");
-                assert_eq!(a.model_name, b.model_name);
-                assert_eq!(a.batch, b.batch);
-                assert_eq!(a.report, b.report, "{}/{}", a.model_name, a.batch);
-            }
+            assert_eq!(sequential.points, parallel.points, "{workers} workers");
             let fa = sequential.pareto_frontier();
             let fb = parallel.pareto_frontier();
             assert_eq!(fa.len(), fb.len(), "{workers} workers");
@@ -1209,8 +1230,8 @@ mod tests {
         assert_eq!(result.points.len(), 2);
         // Starved-for-bandwidth at 32 b/cyc; the 512 b/cyc point must stall
         // strictly less.
-        let narrow = result.points[0].report.total_stalls();
-        let wide = result.points[1].report.total_stalls();
+        let narrow = result.points[0].stalls;
+        let wide = result.points[1].stalls;
         assert!(narrow.bandwidth_starved > wide.bandwidth_starved);
     }
 
@@ -1284,7 +1305,7 @@ mod tests {
         let quants: Vec<&str> = result.points.iter().map(|p| p.quant.as_str()).collect();
         assert_eq!(quants, ["paper", "uniform8", "uniform16"], "spec order");
         // Fewer bits never cost cycles: paper (4/4) <= uniform8 <= uniform16.
-        let cycles: Vec<u64> = result.points.iter().map(DsePoint::cycles).collect();
+        let cycles: Vec<u64> = result.points.iter().map(|p| p.cycles).collect();
         assert!(cycles[0] <= cycles[1], "{cycles:?}");
         assert!(cycles[1] < cycles[2], "{cycles:?}");
     }
@@ -1306,10 +1327,7 @@ mod tests {
         for workers in [2, 5] {
             let parallel = explore(&spec, &AnalyticBackend, workers);
             assert_eq!(sequential.points.len(), parallel.points.len());
-            for (a, b) in sequential.points.iter().zip(&parallel.points) {
-                assert_eq!(a.quant, b.quant, "{workers} workers");
-                assert_eq!(a.report, b.report, "{}/{}", a.model_name, a.quant);
-            }
+            assert_eq!(sequential.points, parallel.points, "{workers} workers");
             assert_eq!(
                 sequential.quant_speedups_vs("uniform8"),
                 parallel.quant_speedups_vs("uniform8")
@@ -1373,7 +1391,8 @@ mod tests {
         assert_eq!(result.points.len(), 2);
         assert_eq!(result.compile_unique, 1);
         assert_eq!(result.spec_compile_hits(), 1);
-        assert_eq!(result.points[0].report, result.points[1].report);
+        let (a, b) = (&result.points[0], &result.points[1]);
+        assert_eq!((a.cycles, a.energy, a.stalls), (b.cycles, b.energy, b.stalls));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread;
 
 /// Runs `job(0..jobs)` across up to `workers` threads and returns the
@@ -34,13 +34,15 @@ use std::thread;
 /// `workers == 0` or `workers == 1` (or a single job) runs inline on the
 /// calling thread — the sequential path, with no thread or synchronization
 /// overhead, used as the baseline in the scaling bench. The worker count is
-/// clamped to the job count; `job` must be safe to call concurrently from
-/// multiple threads.
+/// clamped to the job count. Otherwise the calling thread is one of the
+/// workers: `workers - 1` helper threads are spawned, and the caller claims
+/// jobs from the same queue instead of idling in `join`. `job` must be safe
+/// to call concurrently from multiple threads.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any `job` invocation (the pool joins every
-/// worker before returning).
+/// Propagates a panic from any `job` invocation, whichever thread ran it,
+/// after every helper has been joined.
 pub fn map_indexed<T, F>(jobs: usize, workers: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -52,24 +54,24 @@ where
     }
 
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut claimed = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return claimed;
+            }
+            claimed.push((i, job(i)));
+        }
+    };
     let mut tagged: Vec<(usize, T)> = Vec::with_capacity(jobs);
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut claimed = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            return claimed;
-                        }
-                        claimed.push((i, job(i)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            tagged.extend(handle.join().expect("DSE worker panicked"));
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        // A panic here unwinds out of the scope, which joins the helpers
+        // before it re-raises the panic.
+        tagged.extend(work());
+        for helper in helpers {
+            tagged.extend(helper.join().expect("DSE worker panicked"));
         }
     });
     tagged.sort_unstable_by_key(|&(i, _)| i);
@@ -78,8 +80,11 @@ where
 }
 
 /// The machine's available parallelism, defaulting to 1 when unknown.
+/// Read once per process: the query costs tens of microseconds (it reads
+/// the cgroup CPU quota), and every `dse` request asks for it.
 pub fn default_workers() -> usize {
-    thread::available_parallelism().map_or(1, |n| n.get())
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Streams `items` through `job` on up to `workers` threads and hands every
@@ -397,7 +402,71 @@ mod tests {
 
     #[test]
     fn default_workers_is_positive() {
-        assert!(default_workers() >= 1);
+        // Read once per process, so every call agrees.
+        let first = default_workers();
+        assert!(first >= 1);
+        for _ in 0..3 {
+            assert_eq!(default_workers(), first);
+        }
+    }
+
+    /// Blocks a helper's job until the calling thread has run one, so the
+    /// helpers cannot drain the queue first. Gives up after 10 s.
+    fn wait_for(flag: &std::sync::atomic::AtomicBool) {
+        let start = std::time::Instant::now();
+        while !flag.load(Ordering::SeqCst) {
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(10),
+                "the calling thread never claimed a job"
+            );
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        for workers in [2, 4] {
+            let caller = thread::current().id();
+            let caller_ran = std::sync::atomic::AtomicBool::new(false);
+            let ran_on = map_indexed(16, workers, |_| {
+                let me = thread::current().id();
+                if me == caller {
+                    caller_ran.store(true, Ordering::SeqCst);
+                } else {
+                    wait_for(&caller_ran);
+                }
+                me
+            });
+            assert!(ran_on.contains(&caller), "{workers} workers");
+            let threads: std::collections::HashSet<_> = ran_on.iter().collect();
+            assert!(threads.len() <= workers, "{workers} workers: {} threads", threads.len());
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_calling_thread_propagates_after_the_helpers_join() {
+        let caller = thread::current().id();
+        let caller_ran = std::sync::atomic::AtomicBool::new(false);
+        let helper_done = AtomicU64::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_indexed(8, 2, |i| {
+                if thread::current().id() == caller {
+                    caller_ran.store(true, Ordering::SeqCst);
+                    panic!("job {i} failed on the calling thread");
+                }
+                wait_for(&caller_ran);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                helper_done.fetch_add(1, Ordering::SeqCst);
+                i
+            })
+        }));
+        assert!(result.is_err(), "the job panic must propagate");
+        // The helper drained the queue and was joined before the panic
+        // reached us: its count is final.
+        let done = helper_done.load(Ordering::SeqCst);
+        assert_eq!(done, 7, "every job but the panicked one ran");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(helper_done.load(Ordering::SeqCst), done);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! backend.
 
 use std::fmt;
+use std::ops::AddAssign;
 
 use bitfusion_energy::EnergyBreakdown;
 use bitfusion_isa::Scratchpad;
@@ -23,6 +24,14 @@ pub struct StallBreakdown {
     /// Cycles spent filling/draining the systolic array between passes
     /// (before efficiency derating).
     pub fill_drain: u64,
+}
+
+impl AddAssign for StallBreakdown {
+    fn add_assign(&mut self, rhs: StallBreakdown) {
+        self.bandwidth_starved += rhs.bandwidth_starved;
+        self.compute_starved += rhs.compute_starved;
+        self.fill_drain += rhs.fill_drain;
+    }
 }
 
 /// Peak scratchpad residency over a layer's execution, in bits, under the
@@ -146,11 +155,11 @@ impl PerfReport {
 
     /// Total stall attribution across layers.
     pub fn total_stalls(&self) -> StallBreakdown {
-        self.layers.iter().fold(StallBreakdown::default(), |a, l| StallBreakdown {
-            bandwidth_starved: a.bandwidth_starved + l.stalls.bandwidth_starved,
-            compute_starved: a.compute_starved + l.stalls.compute_starved,
-            fill_drain: a.fill_drain + l.stalls.fill_drain,
-        })
+        let mut total = StallBreakdown::default();
+        for l in &self.layers {
+            total += l.stalls;
+        }
+        total
     }
 }
 
