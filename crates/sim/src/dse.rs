@@ -805,9 +805,12 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
     // Assemble the points in spec order: each point's totals are folded
     // from its layers' job results, by index and in layer order, so the
     // energy sums equal `PerfReport::total_energy` bit for bit.
-    let areas: Vec<f64> = archs
+    // Area only for valid architectures: the SRAM model rejects a
+    // zero-capacity buffer, which `validate` reports as `InvalidConfig`.
+    let areas: Vec<Option<f64>> = archs
         .iter()
-        .map(|arch| ChipArea::of(arch, opts.node).chip_mm2())
+        .zip(&validity)
+        .map(|(arch, ok)| ok.is_ok().then(|| ChipArea::of(arch, opts.node).chip_mm2()))
         .collect();
     let mut points = Vec::new();
     let mut infeasible = Vec::new();
@@ -863,7 +866,7 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
             cycles,
             energy,
             stalls,
-            area_mm2: areas[p.arch],
+            area_mm2: areas[p.arch].expect("valid architecture"),
         });
     }
     DseResult {
@@ -1275,6 +1278,22 @@ mod tests {
         };
         let result = explore(&spec, &AnalyticBackend, 1);
         assert_eq!(result.points.len(), 1);
+        assert_eq!(result.infeasible.len(), 1);
+        assert!(matches!(
+            result.infeasible[0].error,
+            PointError::InvalidConfig(_)
+        ));
+
+        // Zero-sized buffers are an invalid config too, not a panic in
+        // the SRAM area model.
+        let grid = ArchGrid {
+            ibuf_bytes: vec![0],
+            wbuf_bytes: vec![0],
+            obuf_bytes: vec![0],
+            ..ArchGrid::from_base(ArchConfig::isca_45nm())
+        };
+        let result = explore(&DseSpec { grid, ..spec }, &AnalyticBackend, 2);
+        assert!(result.points.is_empty());
         assert_eq!(result.infeasible.len(), 1);
         assert!(matches!(
             result.infeasible[0].error,

@@ -646,6 +646,41 @@ fn network_serve_over_tcp_answers_and_drains_on_sigint() {
 }
 
 #[test]
+fn network_serve_and_client_resolve_host_names() {
+    use std::io::{BufRead, BufReader};
+
+    // `localhost` goes through the resolver (the files NSS module) on
+    // both ends, which the static link must keep working.
+    let mut child = Command::new(BIN)
+        .args(["serve", "--listen", "localhost:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server spawns");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    stderr.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected startup line: {line}"))
+        .to_string();
+    let port = addr.rsplit(':').next().unwrap();
+
+    let one_shot = run(&["list", "--json"]);
+    let via_net = run(&["client", "--connect", &format!("localhost:{port}"), "list", "--json"]);
+    let kill = Command::new("kill")
+        .args(["-INT", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    assert!(child.wait().expect("server exits").success());
+    assert!(via_net.status.success(), "{}", stderr_of(&via_net));
+    assert_eq!(stdout_of(&via_net), stdout_of(&one_shot));
+}
+
+#[test]
 fn client_and_serve_flag_validation() {
     // client needs exactly one transport.
     let out = run(&["client", "report", "rnn"]);
