@@ -80,21 +80,9 @@ pub struct ArtifactKey {
 impl ArtifactKey {
     /// Builds the key for compiling `model` at `batch` onto `arch`.
     pub fn of(model: &Model, arch: &ArchConfig, batch: u64) -> Self {
-        ArtifactKey::with_fingerprint(&model.name, fingerprint(model), arch, batch)
-    }
-
-    /// Builds the key from a precomputed [`fingerprint`] — for callers
-    /// (like the DSE engine) that key many architectures against the same
-    /// model and hash it once, not once per geometry.
-    pub fn with_fingerprint(
-        model: &str,
-        fingerprint: u64,
-        arch: &ArchConfig,
-        batch: u64,
-    ) -> Self {
         ArtifactKey {
-            model: model.to_string(),
-            fingerprint,
+            model: model.name.clone(),
+            fingerprint: fingerprint(model),
             batch,
             rows: arch.rows,
             cols: arch.cols,

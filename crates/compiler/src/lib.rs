@@ -12,7 +12,9 @@
 //!   the producing MAC layer's block ([`fuse`]).
 //!
 //! [`plan::compile`] drives the pipeline: fuse → GEMM view ([`gemm`]) →
-//! tile search → block emission ([`lower`]), producing an
+//! tile search → block emission ([`lower`]), in two public halves
+//! ([`plan::gemm_groups`], per model and batch; [`plan::plan_layer`], per
+//! group and architecture), producing an
 //! [`ExecutionPlan`] whose blocks are valid, encodable Fusion-ISA and whose
 //! [`Mapping`] facts (whole-layer and per-segment) feed the performance
 //! simulator. Compiled plans are memoizable in the shared, thread-safe
@@ -43,5 +45,7 @@ pub use error::CompileError;
 pub use fuse::{fuse_layers, FusedGroup, PostOp};
 pub use gemm::{layer_to_gemm, GemmLayer, GemmShape};
 pub use lower::{Mapping, SegmentFacts};
-pub use plan::{compile, ExecutionPlan, PlannedLayer};
+pub use plan::{
+    compile, gemm_groups, plan_layer, ExecutionPlan, GemmGroup, GemmGroups, PlannedLayer,
+};
 pub use tiling::{choose_tiling, LoopOrder, TilePlan, TileSizes};

@@ -1,12 +1,14 @@
 //! End-to-end compilation: model → fused groups → tiled GEMMs → instruction
 //! blocks + mapping facts.
 
+use std::iter::{Enumerate, Peekable};
+
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_dnn::model::Model;
 use bitfusion_isa::{InstructionBlock, Program};
 
 use crate::error::CompileError;
-use crate::fuse::{fuse_layers, PostOp};
+use crate::fuse::{fuse_layers, FusedGroup, PostOp};
 use crate::gemm::{layer_to_gemm, GemmLayer};
 use crate::lower::{lower_gemm, mapping_for, LowerInput, Mapping, SegmentFacts};
 use crate::tiling::{choose_tiling, TilePlan};
@@ -73,18 +75,57 @@ impl ExecutionPlan {
 ///
 /// Applies layer fusion (§IV-B), picks a tiling and loop order per group
 /// under the buffer constraints, and emits one instruction block per fused
-/// group.
+/// group. The two halves are public for callers that compile one model
+/// onto many architectures (the DSE engine): [`gemm_groups`] depends on
+/// the model and batch only, [`plan_layer`] on one group and the
+/// architecture. Errors surface in group order, each group's GEMM view
+/// before its tiling.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError::ZeroBatch`] for `batch == 0`,
 /// [`CompileError::EmptyModel`] when the model has no MAC layers, and
-/// propagates tiling/emission failures.
+/// propagates GEMM-view, tiling and emission failures.
 pub fn compile(
     model: &Model,
     arch: &ArchConfig,
     batch: u64,
 ) -> Result<ExecutionPlan, CompileError> {
+    let groups = gemm_groups(model, batch)?;
+    let mut layers = Vec::with_capacity(groups.len());
+    for group in groups {
+        layers.push(plan_layer(group?, arch)?);
+    }
+    Ok(ExecutionPlan {
+        model_name: model.name.clone(),
+        batch,
+        layers,
+    })
+}
+
+/// One fused group in GEMM form: the architecture-independent input of
+/// [`plan_layer`].
+#[derive(Debug, Clone)]
+pub struct GemmGroup {
+    /// Group name (the MAC layer's name).
+    pub name: String,
+    /// The GEMM view.
+    pub gemm: GemmLayer,
+    /// Fused post-ops.
+    pub postops: Vec<PostOp>,
+    /// Successor block index (0 for the last group).
+    pub next: u16,
+}
+
+/// The front half of [`compile`]: fuses `model` at `batch` and yields each
+/// group with its GEMM view, in execution order.
+///
+/// # Errors
+///
+/// Returns [`CompileError::ZeroBatch`], [`CompileError::EmptyModel`] or a
+/// fusion failure up front; a group whose GEMM view fails is yielded as
+/// that error.
+pub fn gemm_groups(model: &Model, batch: u64) -> Result<GemmGroups<'_>, CompileError> {
     if batch == 0 {
         return Err(CompileError::ZeroBatch);
     }
@@ -92,49 +133,86 @@ pub fn compile(
     if groups.is_empty() {
         return Err(CompileError::EmptyModel);
     }
-    let count = groups.len();
-    let mut layers = Vec::with_capacity(count);
+    Ok(GemmGroups {
+        model,
+        batch,
+        count: groups.len(),
+        groups: groups.into_iter().enumerate().peekable(),
+    })
+}
+
+/// The iterator [`gemm_groups`] returns.
+#[derive(Debug)]
+pub struct GemmGroups<'m> {
+    model: &'m Model,
+    batch: u64,
+    count: usize,
     // Groups are consumed: each one's name and post-ops move into its
-    // planned layer.
-    let mut groups = groups.into_iter().enumerate().peekable();
-    while let Some((gi, group)) = groups.next() {
+    // GEMM group.
+    groups: Peekable<Enumerate<std::vec::IntoIter<FusedGroup>>>,
+}
+
+impl Iterator for GemmGroups<'_> {
+    type Item = Result<GemmGroup, CompileError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (gi, group) = self.groups.next()?;
         // Output storage width: the next MAC layer's input width (values
         // are stored at the minimal bitwidth the consumer needs), 8 bits
         // for the final classifier output.
-        let output_bits = groups
+        let output_bits = self
+            .groups
             .peek()
-            .and_then(|(_, next)| model.layers[next.mac_index].layer.precision())
+            .and_then(|(_, next)| self.model.layers[next.mac_index].layer.precision())
             .map_or(8, |p| p.input.bits());
-        let mac = &model.layers[group.mac_index].layer;
-        let gemm = layer_to_gemm(mac, batch, output_bits)?
-            .expect("fused groups are headed by MAC layers");
-        // Fused residual streams ride the input buffer: reserve IBUF
-        // headroom for them when picking tiles (see `choose_tiling`).
-        let residual_bits: u64 = group.postops.iter().map(PostOp::extra_input_bits).sum();
-        let tile_plan: TilePlan = choose_tiling(&gemm, arch, residual_bits)?;
-        let next = if gi + 1 == count { 0 } else { (gi + 1) as u16 };
-        let input = LowerInput {
-            name: &group.name,
-            layer: &gemm,
-            plan: &tile_plan,
-            postops: &group.postops,
-            next,
+        let mac = &self.model.layers[group.mac_index].layer;
+        let gemm = match layer_to_gemm(mac, self.batch, output_bits) {
+            Ok(gemm) => gemm.expect("fused groups are headed by MAC layers"),
+            Err(e) => return Some(Err(e)),
         };
-        let block = lower_gemm(&input, arch)?;
-        let mapping = mapping_for(&input, arch);
-        layers.push(PlannedLayer {
+        let last = gi + 1 == self.count;
+        Some(Ok(GemmGroup {
             name: group.name,
-            block,
-            mapping,
             gemm,
-            tile_plan,
             postops: group.postops,
-        });
+            next: if last { 0 } else { (gi + 1) as u16 },
+        }))
     }
-    Ok(ExecutionPlan {
-        model_name: model.name.clone(),
-        batch,
-        layers,
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.groups.size_hint()
+    }
+}
+
+impl ExactSizeIterator for GemmGroups<'_> {}
+
+/// The back half of [`compile`] for one group: picks its tiling under
+/// `arch`'s buffers and emits its block and mapping facts.
+///
+/// # Errors
+///
+/// Propagates tiling and emission failures.
+pub fn plan_layer(group: GemmGroup, arch: &ArchConfig) -> Result<PlannedLayer, CompileError> {
+    // Fused residual streams ride the input buffer: reserve IBUF headroom
+    // for them when picking tiles (see `choose_tiling`).
+    let residual_bits: u64 = group.postops.iter().map(PostOp::extra_input_bits).sum();
+    let tile_plan: TilePlan = choose_tiling(&group.gemm, arch, residual_bits)?;
+    let input = LowerInput {
+        name: &group.name,
+        layer: &group.gemm,
+        plan: &tile_plan,
+        postops: &group.postops,
+        next: group.next,
+    };
+    let block = lower_gemm(&input, arch)?;
+    let mapping = mapping_for(&input, arch);
+    Ok(PlannedLayer {
+        name: group.name,
+        block,
+        mapping,
+        gemm: group.gemm,
+        tile_plan,
+        postops: group.postops,
     })
 }
 

@@ -1155,9 +1155,8 @@ wire! {
         /// cache counter): the same request always reports the same number,
         /// whatever the session's cache already holds.
         compile_hits: u64 [in "compile" as "hits"],
-        /// Unique compilation artifacts the spec resolves to — the
-        /// compilations a cold session would perform. Also spec-level; a warm
-        /// session may compile fewer, but the reply does not change (see the
+        /// Unique compilation artifacts the spec resolves to — the plans a
+        /// per-point run would compile once each. Also spec-level (see the
         /// determinism contract in `bitfusion_service::session`).
         compile_misses: u64 [in "compile" as "misses"],
         /// Layer evaluations answered by a layer-tier key another layer of the

@@ -6,8 +6,10 @@
 //! shared compiled-artifact cache ([`ArtifactCache`]) — and turns typed
 //! [`Request`]s into typed [`Response`]s. Every entry point (the one-shot
 //! CLI, the `serve` loop, tests, benches) goes through [`Session::handle`],
-//! so `report`, `compare`, `sweep`, and `dse` all reuse compilations, and
-//! the same request always produces the same response bytes.
+//! so `report`, `compare`, `sweep` and `asm` reuse compilations through the
+//! cache (`dse` compiles each unique layer once within the request and
+//! keeps no plan), and the same request always produces the same response
+//! bytes.
 //!
 //! # Determinism contract
 //!
@@ -548,6 +550,7 @@ impl Session {
             return Err("empty design space (a dimension has no candidates)".to_string());
         }
         spec.points_within_cap().map_err(|e| e.to_string())?;
+        spec.layers_within_cap().map_err(|e| e.to_string())?;
         let grid_points = spec
             .grid
             .len()
@@ -858,6 +861,25 @@ mod tests {
     }
 
     #[test]
+    fn dse_over_the_layer_cap_is_refused_before_compiling() {
+        // Sixteen ResNet-18s (31 layers each) on 1 024 geometries: 16 384
+        // points, at the point cap, but 507 904 layers. The reply is an
+        // error, not a compilation.
+        let params = DseParams {
+            rows: (1..=1 << 10).collect(),
+            cols: vec![16],
+            bandwidth: vec![128],
+            networks: Some(vec!["resnet-18".to_string(); 16]),
+            ..DseParams::default()
+        };
+        let err = Session::new().dse(&params).unwrap_err();
+        assert_eq!(
+            err,
+            "design space has 507904 layer evaluations, over the cap of 262144"
+        );
+    }
+
+    #[test]
     fn report_matches_direct_simulation() {
         let session = Session::new();
         let resp = session.handle(&Request::Report {
@@ -933,7 +955,7 @@ mod tests {
 
     #[test]
     fn commands_share_one_artifact() {
-        // report, asm, and the dse corner at the same key compile once.
+        // report, asm and the bandwidth sweep at the same key compile once.
         let session = Session::new();
         session.handle(&Request::Report {
             model: ModelSource::zoo("rnn"),

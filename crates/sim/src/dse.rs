@@ -17,18 +17,20 @@
 //!   configurations with bandwidth innermost);
 //! * **memoized compilation** — compilation depends only on
 //!   `(model, batch, geometry, buffers)`, *not* on bandwidth or frequency,
-//!   and dominates sweep cost. The engine resolves each unique key through
-//!   the shared [`ArtifactCache`] (compiling it at most once per run), so
-//!   e.g. a 5-point bandwidth axis costs one compilation, not five
-//!   ([`DseResult::compile_hits`] counts the points served without a fresh
-//!   compilation). The session facade passes its own cache, so repeated
-//!   explorations (and `report`/`compare`/`sweep` requests touching the
-//!   same keys) skip compilation entirely;
-//! * **memoized evaluation** — a layer's result depends on its structural
-//!   fingerprint ([`layer_fingerprint`]), the compile key (batch and
-//!   geometry) and the bandwidth. One walk over the points' layers builds
-//!   a per-run job table — one job per (layer fingerprint, compile key),
-//!   carrying every bandwidth its points need — so a repeated shape
+//!   and dominates sweep cost. Each quantized variant is fused, and its
+//!   groups' GEMM views built, once per batch ([`gemm_groups`]); each
+//!   unique (GEMM view, post-ops, geometry) is then tiled and lowered
+//!   once ([`plan_layer`]), so a 5-point bandwidth axis costs one
+//!   compilation, not five, and a repeated layer shape one tile search.
+//!   No plan outlives the run: the session's
+//!   [`ArtifactCache`] is neither read nor filled, so a session that
+//!   repeats a grid compiles it again. [`DseResult::compile_unique`]
+//!   counts the artifacts a per-point run would compile;
+//! * **memoized evaluation** — a layer's result depends on its GEMM view,
+//!   post-ops, the compile key (batch and geometry) and the bandwidth.
+//!   The per-run job table has one job per (GEMM view, post-ops, compile
+//!   key) — the identity [`layer_fingerprint`] gives after compilation —
+//!   carrying every bandwidth its points need, so a repeated shape
 //!   (within a network, across duplicate models or aliasing quant specs)
 //!   is evaluated once, and once for its whole bandwidth axis through
 //!   [`SimBackend::evaluate_layer_bandwidths`] (the event backend builds
@@ -41,13 +43,13 @@
 //!   index in layer order (so they equal a per-point
 //!   [`PerfReport`](crate::stats::PerfReport)'s totals bit for bit), with
 //!   no per-layer copy and no lock per layer;
-//! * **worker model** — unique compilations (each also hashing its plan's
-//!   layer fingerprints), then evaluation jobs, are each sharded by
-//!   [`crate::pool::map_indexed`], the calling thread working as one of
-//!   the workers. Results land in index order, so the output — and every
-//!   Pareto frontier derived from it — is bit-identical for any worker
-//!   count. The serial glue's tables hash with the repo's FNV-1a
-//!   ([`FnvBuildHasher`]);
+//! * **worker model** — one [`crate::pool::map_indexed`] call shards the
+//!   jobs, each tiling, lowering and evaluating its layer, with the calling
+//!   thread working as one of the workers; there is no barrier between
+//!   compilation and evaluation. Results land in index order, so the
+//!   output — and every Pareto frontier derived from it — is bit-identical
+//!   for any worker count. The serial steps' tables hash with the repo's
+//!   FNV-1a ([`FnvBuildHasher`]);
 //! * **reduction** — per-architecture aggregation over the whole workload
 //!   suite ([`DseResult::arch_summaries`]) and the non-dominated subset
 //!   ([`DseResult::pareto_frontier`]) over minimized
@@ -57,11 +59,14 @@
 //! The Figure 15/16 sweeps in [`crate::sweep`] do not use this engine:
 //! they take the `report` path once per point. See `DESIGN.md`,
 //! "Design-space exploration".
+//!
+//! [`layer_fingerprint`]: bitfusion_compiler::layer_fingerprint
 
 use std::collections::HashMap;
 
 use bitfusion_compiler::{
-    layer_fingerprint, ArtifactCache, ArtifactKey, CachedPlan, CompileError, FnvBuildHasher,
+    gemm_groups, plan_layer, ArtifactCache, CompileError, FnvBuildHasher, GemmGroup, GemmLayer,
+    PostOp,
 };
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_core::error::CoreError;
@@ -139,6 +144,34 @@ impl DseSpec {
         }
     }
 
+    /// Model layers summed over every point — grid size × quant specs ×
+    /// batches × the models' summed layer counts — or `None` when that
+    /// does not fit a `usize`. A compiled plan has at most one group per
+    /// model layer, so this bounds the layer evaluations an exploration
+    /// requests, from the spec alone.
+    pub fn layer_count(&self) -> Option<usize> {
+        let layers = self
+            .models
+            .iter()
+            .try_fold(0, |n: usize, m| n.checked_add(m.layers.len()))?;
+        [self.quant_specs.len(), self.batches.len(), layers]
+            .into_iter()
+            .try_fold(self.grid.len()?, usize::checked_mul)
+    }
+
+    /// The [`DseSpec::layer_count`], if it is at most [`MAX_DSE_LAYERS`]:
+    /// the second check a request's spec passes before anything compiles.
+    ///
+    /// # Errors
+    ///
+    /// [`TooManyLayers`] when the count is over the cap or overflows.
+    pub fn layers_within_cap(&self) -> Result<usize, TooManyLayers> {
+        match self.layer_count() {
+            Some(layers) if layers <= MAX_DSE_LAYERS => Ok(layers),
+            layers => Err(TooManyLayers { layers }),
+        }
+    }
+
     /// Workloads (model × batch combinations) per architecture and quant
     /// spec — the unit over which (architecture, quantization) candidates
     /// are aggregated and compared.
@@ -150,8 +183,9 @@ impl DseSpec {
 /// Most points one requested exploration may cover (`Session::dse`
 /// refuses a larger spec before enumerating it). The largest grid the
 /// README, CI and perfbench run is 192 points. A whole-zoo grid at the cap
-/// takes ~0.5 s (analytic) or ~0.8 s (event) and ~140 MB peak RSS on
-/// 2 vCPUs; four times the cap took ~540 MB.
+/// takes 0.15–0.21 s (analytic) or 0.29–0.31 s (event) and ~44 MB peak
+/// RSS as a one-shot process on 2 vCPUs; four times the cap took ~540 MB
+/// when explore still kept every plan.
 pub const MAX_DSE_POINTS: usize = 1 << 14;
 
 /// A spec over [`MAX_DSE_POINTS`].
@@ -172,6 +206,34 @@ impl std::fmt::Display for TooManyPoints {
 }
 
 impl std::error::Error for TooManyPoints {}
+
+/// Most model layers summed over the points of one requested exploration
+/// ([`DseSpec::layer_count`]; `Session::dse` refuses a larger spec before
+/// compiling). A whole-zoo grid at [`MAX_DSE_POINTS`] has 178 176 (the
+/// zoo's 87 layers × 2 048 points per network), and the largest grid the
+/// README, CI and perfbench run has 2 349, so at the point cap the layer
+/// cap binds only on networks that average more than 16 layers. See
+/// `DESIGN.md`, "Bounded requests".
+pub const MAX_DSE_LAYERS: usize = 1 << 18;
+
+/// A spec over [`MAX_DSE_LAYERS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyLayers {
+    /// The spec's layer count, or `None` when it overflows a `usize`.
+    pub layers: Option<usize>,
+}
+
+impl std::fmt::Display for TooManyLayers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.layers {
+            Some(layers) => write!(f, "design space has {layers} layer evaluations"),
+            None => write!(f, "design space layer count overflows"),
+        }?;
+        write!(f, ", over the cap of {MAX_DSE_LAYERS}")
+    }
+}
+
+impl std::error::Error for TooManyLayers {}
 
 /// One evaluated point of the exploration: where it ran and the
 /// workload's totals over the plan's layers. Per-layer detail is not kept
@@ -298,15 +360,10 @@ pub struct DseResult {
     pub infeasible: Vec<InfeasiblePoint>,
     /// Workloads per architecture the spec asked for.
     pub workloads_expected: usize,
-    /// Points served without a fresh compilation — shared within the run
-    /// (e.g. a bandwidth axis) or already resident in the artifact cache.
-    pub compile_hits: u64,
-    /// Compilations actually performed during this run.
-    pub compile_misses: u64,
-    /// Unique compilation keys the spec resolves to. Deterministic for a
-    /// given spec — unlike `compile_misses`, which shrinks as the shared
-    /// cache warms (`compile_misses == compile_unique` on a cold cache) —
-    /// so protocol responses report sharing in terms of this.
+    /// Unique artifacts (model, batch, compile-relevant architecture
+    /// fields — an [`ArtifactKey`](bitfusion_compiler::ArtifactKey)) the
+    /// compilable points resolve to: the plans a per-point run would
+    /// compile once each.
     pub compile_unique: u64,
     /// Layer evaluations the run's evaluated points requested (every layer
     /// of every point that reached a compiled plan).
@@ -360,11 +417,9 @@ impl DseResult {
                 .count() as u64
     }
 
-    /// Spec-level compile sharing, independent of cache warmth: compilable
-    /// points served by an artifact another point of the same run also
-    /// resolves to. The typed protocol reports this (not the
-    /// warmth-dependent [`DseResult::compile_hits`]) so responses stay
-    /// byte-identical between cold and warm sessions.
+    /// Spec-level compile sharing: compilable points served by an
+    /// artifact another point of the same run also resolves to. The typed
+    /// protocol reports this, so responses depend on the spec alone.
     pub fn spec_compile_hits(&self) -> u64 {
         self.compilable_points() - self.compile_unique
     }
@@ -490,12 +545,11 @@ pub struct QuantSpeedup {
 }
 
 /// The compile-relevant part of a point: its batch and every
-/// [`ArchConfig`] field tiling reads — the same fields as [`ArtifactKey`]
-/// minus the model. Paired with a quantized-model variant's spec index
-/// (model × quant spec) it is the in-run compile identity, so per-point
-/// dedup never re-fingerprints a model; only the unique keys are promoted
-/// to full [`ArtifactKey`]s when they touch the shared cache. Paired with
-/// a layer fingerprint it is a phase-2 job: every
+/// [`ArchConfig`] field tiling reads — the same fields as an
+/// [`ArtifactKey`](bitfusion_compiler::ArtifactKey) minus the model.
+/// Paired with a quantized-model variant's family it is the in-run
+/// artifact identity, so per-point dedup never re-fingerprints a model.
+/// Paired with a group's GEMM view and post-ops it is a job: every
 /// [`LayerKey`](bitfusion_compiler::LayerKey) field but the bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CompileKey {
@@ -551,9 +605,8 @@ impl ArchKey {
     }
 }
 
-/// Explores the spec on `backend` with a private, throwaway artifact
-/// cache — see [`explore_with_caches`], which this delegates to, for the
-/// shared (session-owned) variant.
+/// Explores the spec on `backend` — see [`explore_with_caches`], which
+/// this delegates to.
 pub fn explore<B: SimBackend + Sync + ?Sized>(
     spec: &DseSpec,
     backend: &B,
@@ -570,36 +623,33 @@ pub fn explore<B: SimBackend + Sync + ?Sized>(
 
 /// Explores the spec on `backend`, sharded across `workers` threads
 /// (`0` = use [`crate::pool::default_workers`]; `1` = the sequential
-/// baseline), resolving compilations through `cache`.
+/// baseline).
 ///
-/// `layer_cache` is not read: exploration deduplicates layer evaluations
-/// in a per-run job table instead (below). The parameter stays until the
-/// layer tier itself is deleted (ROADMAP, "Delete the layer tier"),
-/// because perfbench's traced run passes one.
+/// Neither cache is read or filled: exploration deduplicates compilation
+/// and evaluation in a per-run job table instead (below), so a session
+/// that repeats a grid compiles it again. The parameters stay because
+/// perfbench's traced run passes both; ROADMAP items 5 and 6 delete the
+/// tiers they name.
 ///
-/// Two sharded phases: every unique artifact first — compiled exactly
-/// once when not already resident in `cache`, whatever the worker count,
-/// and its layer fingerprints hashed in the same job — then one job per
-/// unique (layer fingerprint, compile key): a repeated shape is evaluated
-/// once however many points and layers request it, and once for its whole
-/// bandwidth axis through [`SimBackend::evaluate_layer_bandwidths`]. Each
-/// point's totals are folded from the job results by index; no phase
-/// takes a lock per layer. Invalid
+/// One sharded pass over unique layer jobs. Serially, each quantized
+/// variant is fused once per batch into groups with their GEMM views
+/// ([`gemm_groups`]), and every group of every unique artifact is keyed
+/// by (GEMM view, post-ops, compile key) — the identity
+/// [`layer_fingerprint`](bitfusion_compiler::layer_fingerprint) gives
+/// after compilation, since tiling and mapping follow from those. Then one
+/// [`map_indexed`] call runs each job once: tile search and lowering
+/// ([`plan_layer`]), then one [`SimBackend::evaluate_layer_bandwidths`]
+/// call over every bandwidth its points need. Each point's totals are
+/// folded from the job results by index; a plan takes the first error in
+/// group order, as [`compile`](bitfusion_compiler::compile) would. Invalid
 /// configurations and compile failures become [`InfeasiblePoint`]s rather
 /// than aborting the sweep — a wide grid is expected to contain corners no
 /// tiling fits.
-///
-/// Results do not depend on the cache's warmth: plans are pinned in a
-/// local table for the duration of the run (eviction cannot drop a plan
-/// mid-run), and both compilation and evaluation are deterministic
-/// functions of their keys. Only [`DseResult::compile_hits`] /
-/// [`DseResult::compile_misses`], the cache's own counters, and wall-clock
-/// time change between cold and warm caches.
 pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
     spec: &DseSpec,
     backend: &B,
     workers: usize,
-    cache: &ArtifactCache,
+    _cache: &ArtifactCache,
     _layer_cache: &LayerPerfCache,
 ) -> DseResult {
     let workers = if workers == 0 {
@@ -624,14 +674,31 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
         .collect();
     let validity: Vec<Result<(), CoreError>> = archs.iter().map(ArchConfig::validate).collect();
 
+    // A variant's artifact identity is its name and structural
+    // fingerprint (the model half of an `ArtifactKey`; the fingerprint
+    // covers precisions). `family[v]` is the first variant sharing it, so
+    // a model listed twice, or two quant specs assigning the same
+    // precisions, share one artifact and one fusion pass.
+    let mut first: HashMap<(&str, u64), usize, FnvBuildHasher> = HashMap::default();
+    let family: Vec<usize> = variants
+        .iter()
+        .enumerate()
+        .map(|(v, variant)| match variant {
+            Ok(m) => *first
+                .entry((m.name.as_str(), bitfusion_compiler::cache::fingerprint(m)))
+                .or_insert(v),
+            Err(_) => v,
+        })
+        .collect();
+
     // Point enumeration, deterministic: models → quant specs → batches →
-    // grid order. `key` is the point's index into `unique` below, for the
-    // points that reach the compiler.
+    // grid order. `artifact` indexes `artifacts` below, for the points
+    // that reach the compiler.
     struct PointRef {
         variant: usize,
         batch: u64,
         arch: usize,
-        key: Option<usize>,
+        artifact: Option<usize>,
     }
     let mut point_refs: Vec<PointRef> = Vec::with_capacity(spec.len().unwrap_or(0));
     for variant in 0..variants.len() {
@@ -641,172 +708,126 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
                     variant,
                     batch,
                     arch,
-                    key: None,
+                    artifact: None,
                 });
             }
         }
     }
 
-    // Phase 1: resolve each unique (variant, batch, compile-relevant arch
-    // fields) key — from the shared cache when resident, compiling exactly
-    // once otherwise, sharded across the pool. Invalid configs and failed
-    // quantizations are filtered here so compilation never sees them.
-    let mut key_index: HashMap<(usize, CompileKey), usize, FnvBuildHasher> = HashMap::default();
-    let mut unique: Vec<((usize, CompileKey), usize)> = Vec::new(); // key + an arch index
+    // Serial step: every unique artifact (variant family, compile key) the
+    // compilable points resolve to, and one front half — fused groups and
+    // GEMM views — per (family, batch), shared by all its geometries.
+    // Invalid configs and failed quantizations are filtered here so
+    // compilation never sees them.
+    struct Artifact {
+        front: usize,
+        arch: usize,
+        key: CompileKey,
+    }
+    let mut artifact_index: HashMap<(usize, CompileKey), usize, FnvBuildHasher> =
+        HashMap::default();
+    let mut artifacts: Vec<Artifact> = Vec::new();
+    let mut front_index: HashMap<(usize, u64), usize, FnvBuildHasher> = HashMap::default();
+    let mut fronts: Vec<Front> = Vec::new();
     for p in &mut point_refs {
         if validity[p.arch].is_err() || variants[p.variant].is_err() {
             continue;
         }
-        let key = (p.variant, CompileKey::of(p.batch, &archs[p.arch]));
-        p.key = Some(*key_index.entry(key).or_insert_with(|| {
-            unique.push((key, p.arch));
-            unique.len() - 1
-        }));
-    }
-    // One fingerprint per variant, not one per (variant, geometry) key.
-    // The fingerprint covers precisions, so two quantizations of the same
-    // network can never alias one artifact.
-    let fingerprints: Vec<u64> = variants
-        .iter()
-        .map(|v| match v {
-            Ok(m) => bitfusion_compiler::cache::fingerprint(m),
-            Err(_) => 0,
-        })
-        .collect();
-    // Two spec entries can resolve to one artifact (e.g. the same model
-    // listed twice, or two quant specs assigning the same precisions):
-    // `owner` maps every unique key to its artifact's index in `artifacts`,
-    // so none is compiled twice.
-    let mut canonical: HashMap<ArtifactKey, usize, FnvBuildHasher> = HashMap::default();
-    let mut artifacts: Vec<(usize, ArtifactKey, Option<CachedPlan>)> = Vec::new(); // unique index, key, resident plan
-    let owner: Vec<usize> = unique
-        .iter()
-        .enumerate()
-        .map(|(u, ((variant, key), arch_idx))| {
-            let model = variants[*variant].as_ref().expect("feasible variant");
-            let akey = ArtifactKey::with_fingerprint(
-                &model.name,
-                fingerprints[*variant],
-                &archs[*arch_idx],
-                key.batch,
-            );
-            *canonical.entry(akey).or_insert_with_key(|akey| {
-                artifacts.push((u, akey.clone(), cache.lookup(akey)));
-                artifacts.len() - 1
-            })
-        })
-        .collect();
-    // Compile what is not resident outside the cache lock, and hash each
-    // plan's layer fingerprints in the same job, sharded.
-    let resolved: Vec<(CachedPlan, Option<Vec<u64>>)> =
-        map_indexed(artifacts.len(), workers, |a| {
-            let (u, _, resident) = &artifacts[a];
-            let ((variant, key), arch_idx) = unique[*u];
-            let plan = resident.clone().unwrap_or_else(|| {
-                CachedPlan::new(bitfusion_compiler::compile(
-                    variants[variant].as_ref().expect("feasible variant"),
-                    &archs[arch_idx],
-                    key.batch,
-                ))
+        let (fam, batch, arch) = (family[p.variant], p.batch, p.arch);
+        let key = CompileKey::of(batch, &archs[arch]);
+        let artifact = *artifact_index.entry((fam, key)).or_insert_with(|| {
+            let front = *front_index.entry((fam, batch)).or_insert_with(|| {
+                let model = variants[fam].as_ref().expect("feasible variant");
+                fronts.push(Front::of(model, batch));
+                fronts.len() - 1
             });
-            let fps = match plan.as_ref() {
-                Ok(plan) => Some(plan.layers.iter().map(layer_fingerprint).collect()),
-                Err(_) => None,
-            };
-            (plan, fps)
+            artifacts.push(Artifact { front, arch, key });
+            artifacts.len() - 1
         });
-    let mut compile_misses = 0;
-    for ((_, akey, resident), (plan, _)) in artifacts.iter().zip(&resolved) {
-        if resident.is_none() {
-            cache.insert(akey.clone(), plan.clone());
-            compile_misses += 1;
-        }
+        p.artifact = Some(artifact);
     }
-    let compile_unique = artifacts.len() as u64;
-    let compile_hits = point_refs.iter().filter(|p| p.key.is_some()).count() as u64 - compile_misses;
 
-    // Phase 2 job table: one job per (layer fingerprint, compile key) —
-    // every `LayerKey` field but the bandwidth, the context being fixed
-    // for the run — built once per artifact (`plan_jobs` lists the job of
-    // each of its layers), then one walk over the points adds the
-    // bandwidths they request.
-    struct Job {
-        artifact: usize,
-        layer: usize,
+    // The job table: one job per (GEMM view, post-ops, compile key),
+    // listed for each artifact in group order (`plan_jobs`); then one walk
+    // over the points adds the bandwidths they request.
+    struct Job<'f> {
+        group: &'f GemmGroup,
         arch: usize,
         bandwidths: Vec<u32>,
     }
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut job_index: HashMap<(u64, CompileKey), usize, FnvBuildHasher> = HashMap::default();
-    let plan_jobs: Vec<Option<Vec<usize>>> = artifacts
+    let mut jobs: Vec<Job<'_>> = Vec::new();
+    let mut job_index: HashMap<(GemmLayer, &[PostOp], CompileKey), usize, FnvBuildHasher> =
+        HashMap::default();
+    let plan_jobs: Vec<Vec<usize>> = artifacts
         .iter()
-        .zip(&resolved)
-        .enumerate()
-        .map(|(a, ((u, _, _), (_, fps)))| {
-            let ((_, key), arch) = unique[*u];
-            let fps = fps.as_ref()?;
-            Some(
-                fps.iter()
-                    .enumerate()
-                    .map(|(layer, &fp)| {
-                        *job_index.entry((fp, key)).or_insert_with(|| {
-                            jobs.push(Job {
-                                artifact: a,
-                                layer,
-                                arch,
-                                bandwidths: Vec::new(),
-                            });
-                            jobs.len() - 1
-                        })
+        .map(|a| {
+            fronts[a.front]
+                .groups
+                .iter()
+                .map(|group| {
+                    let key = (group.gemm, group.postops.as_slice(), a.key);
+                    *job_index.entry(key).or_insert_with(|| {
+                        jobs.push(Job {
+                            group,
+                            arch: a.arch,
+                            bandwidths: Vec::new(),
+                        });
+                        jobs.len() - 1
                     })
-                    .collect(),
-            )
+                })
+                .collect()
         })
         .collect();
-    let mut layer_evals = 0;
     for p in &point_refs {
-        let Some(layer_jobs) = p.key.and_then(|u| plan_jobs[owner[u]].as_ref()) else {
-            continue;
-        };
+        let Some(a) = p.artifact else { continue };
         let bandwidth = archs[p.arch].dram_bits_per_cycle;
-        for &j in layer_jobs {
+        for &j in &plan_jobs[a] {
             let bandwidths = &mut jobs[j].bandwidths;
             if !bandwidths.contains(&bandwidth) {
                 bandwidths.push(bandwidth);
             }
         }
-        layer_evals += layer_jobs.len() as u64;
     }
-    // Spec-level layer counters, from the job table alone: how many layer
-    // evaluations the points request, and how many unique `LayerKey`s
-    // (job × bandwidth) they resolve to. Warmth-independent by
-    // construction, so protocol responses built on them stay
-    // byte-identical between cold and warm sessions.
-    let layer_unique = jobs.iter().map(|j| j.bandwidths.len() as u64).sum();
 
-    // Phase 2: evaluate every job once, sharded: one call per unique
-    // layer and geometry, covering its whole bandwidth axis.
-    let results: Vec<Vec<LayerPerf>> = map_indexed(jobs.len(), workers, |j| {
-        let job = &jobs[j];
-        let plan = resolved[job.artifact]
-            .0
-            .as_ref()
-            .as_ref()
-            .expect("jobs come from Ok plans");
-        backend.evaluate_layer_bandwidths(
-            &plan.layers[job.layer],
-            &archs[job.arch],
-            &job.bandwidths,
-            &energy,
-            &opts,
-        )
-    });
+    // The one sharded pass: tile, lower and evaluate every job once,
+    // across its whole bandwidth axis.
+    let results: Vec<Result<Vec<LayerPerf>, CompileError>> =
+        map_indexed(jobs.len(), workers, |j| {
+            let job = &jobs[j];
+            let arch = &archs[job.arch];
+            let layer = plan_layer(job.group.clone(), arch)?;
+            Ok(backend.evaluate_layer_bandwidths(&layer, arch, &job.bandwidths, &energy, &opts))
+        });
 
-    // Assemble the points in spec order: each point's totals are folded
-    // from its layers' job results, by index and in layer order, so the
-    // energy sums equal `PerfReport::total_energy` bit for bit.
-    // Area only for valid architectures: the SRAM model rejects a
-    // zero-capacity buffer, which `validate` reports as `InvalidConfig`.
+    // Fold. A plan fails with its first error in group order: a job's
+    // tiling or lowering error, or else the front's GEMM-view error.
+    let plan_errors: Vec<Option<&CompileError>> = artifacts
+        .iter()
+        .zip(&plan_jobs)
+        .map(|(a, layer_jobs)| {
+            layer_jobs
+                .iter()
+                .find_map(|&j| results[j].as_ref().err())
+                .or(fronts[a.front].error.as_ref())
+        })
+        .collect();
+    // Spec-level layer counters over the points that reach a compiled
+    // plan: how many layer evaluations they request, and how many unique
+    // `LayerKey`s (job × bandwidth) those resolve to. `seen` flags each
+    // job's bandwidth slots, at `offsets[j]` onward.
+    let mut offsets = Vec::with_capacity(jobs.len());
+    let mut slots = 0;
+    for job in &jobs {
+        offsets.push(slots);
+        slots += job.bandwidths.len();
+    }
+    let mut seen = vec![false; slots];
+    let (mut layer_evals, mut layer_unique) = (0, 0);
+    // Each point's totals are folded from its layers' job results, by
+    // index and in layer order, so the energy sums equal
+    // `PerfReport::total_energy` bit for bit. Area only for valid
+    // architectures: the SRAM model rejects a zero-capacity buffer, which
+    // `validate` reports as `InvalidConfig`.
     let areas: Vec<Option<f64>> = archs
         .iter()
         .zip(&validity)
@@ -838,26 +859,29 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
                 continue;
             }
         };
-        let a = owner[p.key.expect("feasible point")];
-        if let Err(e) = resolved[a].0.as_ref() {
+        let a = p.artifact.expect("feasible point");
+        if let Some(e) = plan_errors[a] {
             fail(PointError::Compile(e.clone()));
             continue;
         }
         let mut cycles = 0;
         let mut energy = EnergyBreakdown::default();
         let mut stalls = StallBreakdown::default();
-        for &j in plan_jobs[a].as_ref().expect("Ok plans have jobs") {
-            let job = &jobs[j];
-            let slot = job
+        for &j in &plan_jobs[a] {
+            let slot = jobs[j]
                 .bandwidths
                 .iter()
                 .position(|&b| b == arch.dram_bits_per_cycle)
                 .expect("every point's bandwidth is in its jobs");
-            let perf = &results[j][slot];
+            let perf = &results[j].as_ref().expect("the plan compiled")[slot];
             cycles += perf.cycles;
             energy += perf.energy;
             stalls += perf.stalls;
+            let seen = &mut seen[offsets[j] + slot];
+            layer_unique += u64::from(!*seen);
+            *seen = true;
         }
+        layer_evals += plan_jobs[a].len() as u64;
         points.push(DsePoint {
             arch: arch.clone(),
             model_name: model.name.clone(),
@@ -874,11 +898,33 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
         points,
         infeasible,
         workloads_expected: spec.workloads(),
-        compile_hits,
-        compile_misses,
-        compile_unique,
+        compile_unique: artifacts.len() as u64,
         layer_evals,
         layer_unique,
+    }
+}
+
+/// The architecture-independent half of one artifact's compilation: its
+/// fused groups with their GEMM views, up to the first group whose view
+/// fails, and that failure. An up-front failure (batch 0, no MAC layers,
+/// a fusion count overflow) is an `error` with no groups.
+struct Front {
+    groups: Vec<GemmGroup>,
+    error: Option<CompileError>,
+}
+
+impl Front {
+    fn of(model: &Model, batch: u64) -> Self {
+        let mut groups = Vec::new();
+        let error = gemm_groups(model, batch)
+            .and_then(|each| {
+                for group in each {
+                    groups.push(group?);
+                }
+                Ok(())
+            })
+            .err();
+        Front { groups, error }
     }
 }
 
@@ -888,7 +934,7 @@ mod tests {
     use crate::accelerator::BitFusionSim;
     use crate::backend::AnalyticBackend;
     use crate::event::EventBackend;
-    use bitfusion_compiler::LayerKey;
+    use bitfusion_compiler::{layer_fingerprint, ArtifactKey, LayerKey};
     use std::collections::HashSet;
 
     fn small_spec() -> DseSpec {
@@ -923,9 +969,9 @@ mod tests {
         assert_eq!(result.backend, "analytic");
         // 12 archs × 2 models × 2 batches = 48 points, but the 3-point
         // bandwidth axis shares compilations: 4 geometry keys × 4
-        // model-batch pairs = 16 compiles.
-        assert_eq!(result.compile_misses, 16);
-        assert_eq!(result.compile_hits, 48 - 16);
+        // model-batch pairs = 16 artifacts.
+        assert_eq!(result.compile_unique, 16);
+        assert_eq!(result.spec_compile_hits(), 48 - 16);
     }
 
     #[test]
@@ -983,23 +1029,82 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_skips_every_compilation_with_identical_results() {
+    fn layer_cap_is_checked_without_compiling() {
+        // LSTM and RNN have 2 layers each: 48 points × 2 layers.
+        let spec = small_spec();
+        assert_eq!(spec.layer_count(), Some(96));
+        assert_eq!(spec.layers_within_cap(), Ok(96));
+        // The zoo has 87 layers, so a whole-zoo grid at the point cap
+        // passes, and so does every grid of the README, CI and perfbench.
+        let zoo = DseSpec::zoo(
+            ArchGrid {
+                rows: (1..=1 << 11).collect(),
+                ..ArchGrid::from_base(ArchConfig::isca_45nm())
+            },
+            vec![1],
+        );
+        assert_eq!(zoo.points_within_cap(), Ok(MAX_DSE_POINTS));
+        assert_eq!(zoo.layers_within_cap(), Ok(87 << 11));
+        // Sixteen ResNet-18s (31 layers each) on 1 024 geometries: at the
+        // point cap, but refused for their layers.
+        let wide = DseSpec {
+            grid: ArchGrid {
+                rows: (1..=1 << 10).collect(),
+                ..ArchGrid::from_base(ArchConfig::isca_45nm())
+            },
+            models: vec![Benchmark::ResNet18.model(); 16],
+            quant_specs: vec![QuantSpec::paper()],
+            batches: vec![1],
+            options: SimOptions::default(),
+        };
+        assert_eq!(wide.points_within_cap(), Ok(MAX_DSE_POINTS));
+        let layers = (1 << 10) * 16 * 31;
+        assert_eq!(wide.layer_count(), Some(layers));
+        let err = wide.layers_within_cap().unwrap_err();
+        assert_eq!(
+            err,
+            TooManyLayers {
+                layers: Some(layers)
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("design space has {layers} layer evaluations, over the cap of 262144")
+        );
+        // A candidate product that overflows is refused as such.
+        let overflowing = DseSpec {
+            grid: ArchGrid {
+                rows: (1..=20_000).collect(),
+                cols: (1..=20_000).collect(),
+                ibuf_bytes: (1..=20_000).collect(),
+                wbuf_bytes: (1..=20_000).collect(),
+                ..spec.grid.clone()
+            },
+            batches: vec![1; 64],
+            ..spec
+        };
+        assert_eq!(overflowing.layer_count(), None);
+        assert_eq!(
+            overflowing.layers_within_cap().unwrap_err().to_string(),
+            "design space layer count overflows, over the cap of 262144"
+        );
+    }
+
+    #[test]
+    fn explore_leaves_the_plan_cache_untouched() {
         let spec = small_spec();
         let cache = ArtifactCache::default();
         let layer_cache = LayerPerfCache::default();
-        let cold = explore_with_caches(&spec, &AnalyticBackend, 2, &cache, &layer_cache);
-        assert_eq!(cold.compile_misses, 16);
-        assert_eq!(cold.compile_hits, 48 - 16);
-        let warm = explore_with_caches(&spec, &AnalyticBackend, 2, &cache, &layer_cache);
-        assert_eq!(warm.compile_misses, 0, "every key resident");
-        assert_eq!(warm.compile_hits, 48);
-        assert_eq!(warm.compile_unique, 16, "spec-level sharing is warmth-independent");
-        assert_eq!(cold.compile_unique, 16);
-        assert_eq!(cold.points.len(), warm.points.len());
-        assert_eq!(cold.points, warm.points);
+        let first = explore_with_caches(&spec, &AnalyticBackend, 2, &cache, &layer_cache);
+        let second = explore_with_caches(&spec, &AnalyticBackend, 2, &cache, &layer_cache);
         let stats = cache.stats();
-        assert_eq!(stats.len, 16);
-        assert_eq!(stats.evictions, 0);
+        assert_eq!(
+            (stats.hits, stats.misses, stats.evictions, stats.len),
+            (0, 0, 0, 0),
+            "explore must not read or fill the plan cache"
+        );
+        assert_eq!(first.compile_unique, 16);
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
     }
 
     #[test]
@@ -1029,14 +1134,52 @@ mod tests {
         check_against_per_point_runs(&spec, EventBackend);
     }
 
-    /// Explores `spec` at 1, 2 and 4 workers through a caller-owned layer
-    /// tier and checks that the tier stays untouched, and that points,
-    /// frontier and the spec-level counters equal what running every point
-    /// on its own through [`BitFusionSim`] gives.
+    #[test]
+    fn plans_failing_at_a_later_group_match_per_point_compiles() {
+        // With 2 KB buffers these nets compile their first groups and then
+        // find no tiling for a later one; explore tiles each group in its
+        // own job, so the plan must still report the first error in group
+        // order, and count no layer of a failed plan.
+        let spec = DseSpec {
+            grid: ArchGrid {
+                ibuf_bytes: vec![2 * 1024, 32 * 1024],
+                wbuf_bytes: vec![2 * 1024, 64 * 1024],
+                obuf_bytes: vec![2 * 1024, 16 * 1024],
+                ..ArchGrid::from_base(ArchConfig::isca_45nm())
+            },
+            models: vec![
+                Benchmark::ResNet18.model(),
+                Benchmark::Vgg7.model(),
+                Benchmark::LeNet5.model(),
+            ],
+            quant_specs: vec![QuantSpec::paper()],
+            batches: vec![16],
+            options: SimOptions::default(),
+        };
+        let result = explore(&spec, &AnalyticBackend, 2);
+        let errors: Vec<String> = result
+            .infeasible
+            .iter()
+            .map(|p| p.error.to_string())
+            .collect();
+        for shape in ["96x864x50176", "128x576x16384", "64x800x3136"] {
+            assert!(
+                errors.iter().any(|e| e.contains(shape)),
+                "a later group fails at {shape}: {errors:?}"
+            );
+        }
+        check_against_per_point_runs(&spec, AnalyticBackend);
+    }
+
+    /// Explores `spec` at 1, 2 and 4 workers through caller-owned caches
+    /// and checks that both stay untouched, and that points, infeasible
+    /// corners, frontier and the spec-level counters equal what compiling
+    /// and running every point on its own through [`BitFusionSim`] gives.
     fn check_against_per_point_runs<B: SimBackend + Sync + Copy>(spec: &DseSpec, backend: B) {
         let name = backend.name();
         let context = crate::layer_cache::eval_context(name, &spec.options);
         let mut points = Vec::new();
+        let mut infeasible = Vec::new();
         let mut artifacts = HashSet::new();
         let mut layer_keys = HashSet::new();
         let mut layer_evals = 0;
@@ -1045,8 +1188,20 @@ mod tests {
                 let variant = q.apply(model).unwrap();
                 for &batch in &spec.batches {
                     for arch in spec.grid.configs() {
-                        let plan = bitfusion_compiler::compile(&variant, &arch, batch).unwrap();
                         artifacts.insert(ArtifactKey::of(&variant, &arch, batch));
+                        let plan = match bitfusion_compiler::compile(&variant, &arch, batch) {
+                            Ok(plan) => plan,
+                            Err(e) => {
+                                infeasible.push(InfeasiblePoint {
+                                    arch,
+                                    model_name: variant.name.clone(),
+                                    quant: q.to_string(),
+                                    batch,
+                                    error: PointError::Compile(e),
+                                });
+                                continue;
+                            }
+                        };
                         layer_evals += plan.layers.len() as u64;
                         for l in &plan.layers {
                             let fp = layer_fingerprint(l);
@@ -1071,29 +1226,28 @@ mod tests {
         let oracle = DseResult {
             backend: name,
             points,
-            infeasible: Vec::new(),
+            infeasible,
             workloads_expected: spec.workloads(),
-            compile_hits: 0,
-            compile_misses: 0,
             compile_unique: artifacts.len() as u64,
             layer_evals,
             layer_unique: layer_keys.len() as u64,
         };
         assert!(oracle.spec_layer_hits() > 0, "{name}: shapes repeat");
         for workers in [1, 2, 4] {
+            let cache = ArtifactCache::default();
             let layer_cache = LayerPerfCache::default();
-            let result = explore_with_caches(
-                spec,
-                &backend,
-                workers,
-                &ArtifactCache::default(),
-                &layer_cache,
-            );
+            let result = explore_with_caches(spec, &backend, workers, &cache, &layer_cache);
             let stats = layer_cache.stats();
             assert_eq!(
                 (stats.hits, stats.misses, stats.len),
                 (0, 0, 0),
                 "{name}/{workers}w: explore must not touch the layer tier"
+            );
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.len),
+                (0, 0, 0),
+                "{name}/{workers}w: explore must not touch the plan cache"
             );
             assert_eq!(result.points.len(), oracle.points.len(), "{name}/{workers}w");
             for (got, want) in result.points.iter().zip(&oracle.points) {
@@ -1109,6 +1263,11 @@ mod tests {
                 format!("{:?}", result.points),
                 format!("{:?}", oracle.points),
                 "{name}/{workers}w: points"
+            );
+            assert_eq!(
+                format!("{:?}", result.infeasible),
+                format!("{:?}", oracle.infeasible),
+                "{name}/{workers}w: infeasible"
             );
             assert_eq!(
                 format!("{:?}", result.pareto_frontier()),
@@ -1168,8 +1327,10 @@ mod tests {
         };
         let result = explore(&spec, &AnalyticBackend, 1);
         assert_eq!(result.points.len(), 2);
-        assert_eq!(result.compile_misses, 1, "identical models compile once");
-        assert_eq!(result.compile_unique, 1);
+        assert_eq!(
+            result.compile_unique, 1,
+            "identical models share one artifact"
+        );
         assert_eq!(result.spec_compile_hits(), 1);
         assert_eq!(result.points[0], result.points[1]);
     }

@@ -57,6 +57,7 @@ pub use layer_cache::{eval_context, plan_layer_sharing, run_plan_cached, LayerPe
 pub use stats::{BufferOccupancy, LayerPerf, PerfReport, StallBreakdown};
 pub use dse::{
     explore, explore_with_caches, ArchSummary, DsePoint, DseResult, DseSpec, InfeasiblePoint,
-    PointError, QuantSpeedup, QuantSummary, TooManyPoints, MAX_DSE_POINTS,
+    PointError, QuantSpeedup, QuantSummary, TooManyLayers, TooManyPoints,
+    MAX_DSE_LAYERS, MAX_DSE_POINTS,
 };
 pub use sweep::{bandwidth_sweep, batch_sweep, Sweep, SweepPoint};

@@ -30,14 +30,15 @@ fn main() {
             .expect("216 points, under the request cap")
     );
 
-    // Workers = 0 shards across all available cores; the memoized compile
-    // cache means the bandwidth axis is free (tiling ignores bandwidth).
+    // Workers = 0 shards across all available cores. Tiling ignores
+    // bandwidth, so the bandwidth axis shares one compilation per
+    // geometry, and a repeated layer shape is tiled and evaluated once.
     let result = explore(&spec, &AnalyticBackend, 0);
     println!(
-        "evaluated {} points; {} unique compilations, {} points served from cache\n",
+        "evaluated {} points; {} unique compilations, {} points sharing one\n",
         result.points.len(),
-        result.compile_misses,
-        result.compile_hits
+        result.compile_unique,
+        result.spec_compile_hits()
     );
 
     println!("Pareto frontier over (total cycles, total energy, chip area):");

@@ -767,10 +767,11 @@ fn run_client_pipeline(connect: Option<&str>, unix: Option<&str>) -> ExitCode {
     // stdin is safe and the output lines correlate 1:1 with input lines.
     let exchange_all = |mut writer: Box<dyn Write>,
                         reader: Box<dyn std::io::Read>|
-     -> std::io::Result<u64> {
+     -> std::io::Result<PipelineEnd> {
         let mut responses = BufReader::new(reader);
         let mut errors = 0u64;
         let mut stdin = std::io::stdin().lock();
+        let mut stdout = std::io::stdout().lock();
         let mut raw = Vec::new();
         // Lines are forwarded as raw bytes: a line that is not UTF-8 is
         // the server's to answer (with an error in its slot), not a reason
@@ -798,9 +799,11 @@ fn run_client_pipeline(connect: Option<&str>, unix: Option<&str>) -> ExitCode {
             if reply.starts_with(r#"{"reply":"error""#) {
                 errors += 1;
             }
-            println!("{reply}");
+            if let Err(e) = writeln!(stdout, "{reply}") {
+                return Ok(PipelineEnd::StdoutFailed(e));
+            }
         }
-        Ok(errors)
+        Ok(PipelineEnd::Done { errors })
     };
     let result = match (connect, unix) {
         (Some(addr), None) => std::net::TcpStream::connect(addr).and_then(|s| {
@@ -820,12 +823,41 @@ fn run_client_pipeline(connect: Option<&str>, unix: Option<&str>) -> ExitCode {
         _ => unreachable!("parse_client enforces --connect XOR --unix"),
     };
     match result {
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
+        Ok(PipelineEnd::Done { errors: 0 }) => ExitCode::SUCCESS,
+        Ok(PipelineEnd::Done { .. }) => ExitCode::FAILURE,
+        Ok(PipelineEnd::StdoutFailed(e)) => stdout_failed(&e),
         Err(e) => {
             eprintln!("client: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// How a `client --keep-alive` pipeline ended without a transport error.
+enum PipelineEnd {
+    /// Stdin ran out; `errors` replies were error replies.
+    Done { errors: u64 },
+    /// A reply could not be written to stdout.
+    StdoutFailed(std::io::Error),
+}
+
+/// The exit status of a mode whose stdout write failed: 1, and quiet for a
+/// closed pipe (the reader went away, as in `bitfusion-cli list | head
+/// -1`), the rule `serve` applies to a dead client.
+fn stdout_failed(e: &std::io::Error) -> ExitCode {
+    if e.kind() != std::io::ErrorKind::BrokenPipe {
+        eprintln!("bitfusion-cli: cannot write to stdout: {e}");
+    }
+    ExitCode::FAILURE
+}
+
+/// Writes `text` and a newline to a locked stdout and returns `code`, or
+/// [`stdout_failed`]'s status when the write fails.
+fn print_out(text: impl std::fmt::Display, code: ExitCode) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => code,
+        Err(e) => stdout_failed(&e),
     }
 }
 
@@ -900,30 +932,28 @@ fn run_client(
         }
     };
     let failed = reply.starts_with(r#"{"reply":"error""#);
-    match payload {
-        // Raw in, raw out: scripted callers correlate bytes.
-        ClientPayload::Raw(_) | ClientPayload::Stdin | ClientPayload::Pipeline => {
-            println!("{reply}")
-        }
-        ClientPayload::Request { json: true, .. } => println!("{reply}"),
-        ClientPayload::Request { json: false, .. } => match Response::parse(&reply) {
-            Ok(response) => {
-                if failed {
-                    eprintln!("{}", render(&response));
-                } else {
-                    println!("{}", render(&response));
-                }
-            }
-            Err(e) => {
-                eprintln!("client: unparseable response ({e}): {reply}");
-                return ExitCode::FAILURE;
-            }
-        },
-    }
-    if failed {
+    let code = if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    };
+    match payload {
+        // Raw in, raw out: scripted callers correlate bytes.
+        ClientPayload::Raw(_)
+        | ClientPayload::Stdin
+        | ClientPayload::Pipeline
+        | ClientPayload::Request { json: true, .. } => print_out(reply, code),
+        ClientPayload::Request { json: false, .. } => match Response::parse(&reply) {
+            Ok(response) if failed => {
+                eprintln!("{}", render(&response));
+                code
+            }
+            Ok(response) => print_out(render(&response), code),
+            Err(e) => {
+                eprintln!("client: unparseable response ({e}): {reply}");
+                ExitCode::FAILURE
+            }
+        },
     }
 }
 
@@ -979,12 +1009,9 @@ fn run() -> Result<ExitCode, UsageError> {
             payload,
         } => Ok(run_client(connect.as_deref(), unix.as_deref(), &payload)),
         Mode::ExportModel(name) => match find_model(&name) {
-            Ok(m) => {
-                // A `bitfusion-model/1` document: already JSON, byte-stable,
-                // and re-importable through `--model`.
-                println!("{}", export_model(&m).encode());
-                Ok(ExitCode::SUCCESS)
-            }
+            // A `bitfusion-model/1` document: already JSON, byte-stable,
+            // and re-importable through `--model`.
+            Ok(m) => Ok(print_out(export_model(&m).encode(), ExitCode::SUCCESS)),
             Err(e) => {
                 eprintln!("export-model: {e}");
                 Ok(ExitCode::FAILURE)
@@ -994,17 +1021,18 @@ fn run() -> Result<ExitCode, UsageError> {
             let session = Session::new().with_options(inv.options);
             let response = session.handle(&request);
             let failed = matches!(response, Response::Error { .. });
-            if inv.json {
-                println!("{}", response.encode());
-            } else if failed {
-                eprintln!("{}", render(&response));
-            } else {
-                println!("{}", render(&response));
-            }
-            Ok(if failed {
+            let code = if failed {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS
+            };
+            Ok(if inv.json {
+                print_out(response.encode(), code)
+            } else if failed {
+                eprintln!("{}", render(&response));
+                code
+            } else {
+                print_out(render(&response), code)
             })
         }
     }

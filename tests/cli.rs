@@ -36,6 +36,31 @@ fn unknown_flag_names_flag_and_subcommand() {
 }
 
 #[test]
+fn a_closed_stdout_is_a_quiet_runtime_failure() {
+    // The reader is gone before the CLI writes (as in `list | head -0`):
+    // the write fails with EPIPE, which must end the process with exit 1,
+    // not a print panic (exit 101 and a backtrace).
+    for args in [
+        &["list"][..],
+        &["list", "--json"],
+        &["export-model", "lstm"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(BIN)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary spawns");
+        let err = stderr_of(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: a closed pipe is quiet: {err}");
+    }
+}
+
+#[test]
 fn missing_flag_value_is_a_usage_error() {
     let out = run(&["report", "lstm", "--batch"]);
     assert_eq!(out.status.code(), Some(2));
