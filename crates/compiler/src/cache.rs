@@ -5,8 +5,8 @@
 //!
 //! Compilation — the buffer-constrained tile-size search plus block
 //! emission — dominates the cost of every evaluation path (a single
-//! `report` spends most of its time here, and a design-space sweep
-//! re-visits the same geometry at every bandwidth point). The paper's
+//! `report` spends most of its time here, and every point of a bandwidth
+//! `sweep` compiles the same geometry). The paper's
 //! toolchain reflects the same split: the Fusion-ISA binary is produced
 //! once per (network, accelerator organization) and then evaluated many
 //! times (§IV–V of Sharma et al., ISCA 2018). This module makes that
@@ -24,7 +24,7 @@
 //!   behind a mutex, with least-recently-used eviction at a fixed
 //!   capacity;
 //! * **stats** — [`CacheStats`] exposes hits/misses/evictions so callers
-//!   (the session facade, the DSE engine) can report cache effectiveness.
+//!   (the session facade) can report cache effectiveness.
 //!
 //! Failed compilations are cached too, but an eviction pass prefers
 //! evicting failures first: they are cheap to reproduce relative to a
@@ -33,8 +33,9 @@
 //! The layer tier sits *below* the model tier: once a plan is resolved
 //! (from the model tier or a fresh compilation), each of its layers can be
 //! evaluated at most once per ([`layer_fingerprint`], batch, geometry,
-//! bandwidth, evaluation context) — [`LayerKey`] — however many requests,
-//! sweep points, or models share that layer. Networks built from
+//! bandwidth, evaluation context) — [`LayerKey`] — however many requests
+//! or models share that layer (a sweep's points never do: each differs in
+//! its swept batch or bandwidth). Networks built from
 //! repeated blocks (ResNet-18's basic blocks, VGG's conv stacks) collapse
 //! dramatically under this key; see `DESIGN.md`, "Two-tier compile/sim
 //! cache".

@@ -119,23 +119,34 @@ impl ArchConfig {
         self.peak_macs_per_kilocycle(pair) as f64 / 1000.0 * self.freq_mhz as f64 / 1000.0
     }
 
-    /// Validates internal consistency (non-zero geometry, power-of-two
-    /// access width).
+    /// Validates internal consistency (non-zero geometry, buffers,
+    /// bandwidth and clock; power-of-two access width).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::EmptyArray`] for zero dimensions or buffer sizes.
+    /// Returns [`CoreError::InvalidArchField`] naming the first field out
+    /// of range.
     pub fn validate(&self) -> Result<(), CoreError> {
-        if self.rows == 0
-            || self.cols == 0
-            || self.ibuf_bytes == 0
-            || self.wbuf_bytes == 0
-            || self.obuf_bytes == 0
-            || self.dram_bits_per_cycle == 0
-            || self.freq_mhz == 0
-            || !self.buffer_access_bits.is_power_of_two()
-        {
-            return Err(CoreError::EmptyArray);
+        let nonzero = [
+            ("array rows", self.rows),
+            ("array columns", self.cols),
+            ("input buffer size", self.ibuf_bytes),
+            ("weight buffer size", self.wbuf_bytes),
+            ("output buffer size", self.obuf_bytes),
+            ("off-chip bandwidth", self.dram_bits_per_cycle as usize),
+            ("clock frequency", self.freq_mhz as usize),
+        ];
+        if let Some(&(field, _)) = nonzero.iter().find(|(_, value)| *value == 0) {
+            return Err(CoreError::InvalidArchField {
+                field,
+                requirement: "non-zero",
+            });
+        }
+        if !self.buffer_access_bits.is_power_of_two() {
+            return Err(CoreError::InvalidArchField {
+                field: "buffer access width",
+                requirement: "a power of two",
+            });
         }
         Ok(())
     }
@@ -234,5 +245,45 @@ mod tests {
         let mut arch = ArchConfig::isca_45nm();
         arch.buffer_access_bits = 24;
         assert!(arch.validate().is_err());
+    }
+
+    #[test]
+    fn each_invalid_field_is_named() {
+        let base = ArchConfig::isca_45nm;
+        let broken = [
+            (ArchConfig { rows: 0, ..base() }, "array rows must be non-zero"),
+            (ArchConfig { cols: 0, ..base() }, "array columns must be non-zero"),
+            (
+                ArchConfig { ibuf_bytes: 0, ..base() },
+                "input buffer size must be non-zero",
+            ),
+            (
+                ArchConfig { wbuf_bytes: 0, ..base() },
+                "weight buffer size must be non-zero",
+            ),
+            (
+                ArchConfig { obuf_bytes: 0, ..base() },
+                "output buffer size must be non-zero",
+            ),
+            (
+                ArchConfig { dram_bits_per_cycle: 0, ..base() },
+                "off-chip bandwidth must be non-zero",
+            ),
+            (
+                ArchConfig { freq_mhz: 0, ..base() },
+                "clock frequency must be non-zero",
+            ),
+            (
+                ArchConfig { buffer_access_bits: 0, ..base() },
+                "buffer access width must be a power of two",
+            ),
+            (
+                ArchConfig { buffer_access_bits: 24, ..base() },
+                "buffer access width must be a power of two",
+            ),
+        ];
+        for (arch, message) in broken {
+            assert_eq!(arch.validate().unwrap_err().to_string(), message);
+        }
     }
 }

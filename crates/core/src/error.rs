@@ -20,6 +20,13 @@ pub enum CoreError {
     },
     /// A systolic array was configured with a zero dimension.
     EmptyArray,
+    /// An accelerator configuration field is out of its range.
+    InvalidArchField {
+        /// The field, in words (e.g. "off-chip bandwidth").
+        field: &'static str,
+        /// What the field must be (e.g. "non-zero").
+        requirement: &'static str,
+    },
     /// An operand vector's length does not match the array geometry.
     ShapeMismatch {
         /// What the operation expected.
@@ -44,6 +51,9 @@ impl fmt::Display for CoreError {
                 )
             }
             CoreError::EmptyArray => write!(f, "systolic array dimensions must be non-zero"),
+            CoreError::InvalidArchField { field, requirement } => {
+                write!(f, "{field} must be {requirement}")
+            }
             CoreError::ShapeMismatch { expected, actual } => {
                 write!(f, "operand shape mismatch: expected {expected}, got {actual}")
             }
@@ -67,6 +77,10 @@ mod tests {
                 precision: Precision::signed(BitWidth::B4),
             },
             CoreError::EmptyArray,
+            CoreError::InvalidArchField {
+                field: "off-chip bandwidth",
+                requirement: "non-zero",
+            },
             CoreError::ShapeMismatch {
                 expected: 4,
                 actual: 2,

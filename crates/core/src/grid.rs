@@ -104,8 +104,8 @@ impl ArchGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::EmptyArray`] when a dimension has no candidates
-    /// or any grid point fails validation (zero geometry, zero buffers).
+    /// Returns [`CoreError::EmptyArray`] when a dimension has no candidates,
+    /// or the first failing grid point's [`ArchConfig::validate`] error.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.is_empty() {
             return Err(CoreError::EmptyArray);

@@ -23,7 +23,7 @@
 //! invocations.
 
 use bitfusion_baselines::{EyerissSim, GpuMode, GpuModel, StripesSim};
-use bitfusion_compiler::{ArtifactCache, CacheStats};
+use bitfusion_compiler::{ArtifactCache, CacheStats, CachedPlan, ExecutionPlan};
 use bitfusion_core::arch::ArchConfig;
 use bitfusion_core::grid::ArchGrid;
 use bitfusion_dnn::model::Model;
@@ -34,9 +34,8 @@ use bitfusion_energy::{ChipArea, EnergyBreakdown, FusionEnergy};
 use bitfusion_isa::asm::format_block;
 use bitfusion_sim::pool::default_workers;
 use bitfusion_sim::{
-    bandwidth_sweep, batch_sweep, explore_with_caches, layer_cache::run_plan_cached,
-    plan_layer_sharing, AnalyticBackend, DseResult, DseSpec, EventBackend, LayerPerfCache,
-    PerfReport, SimBackend, SimOptions,
+    explore, layer_cache::run_plan_cached, plan_layer_sharing, AnalyticBackend, DseResult, DseSpec,
+    EventBackend, LayerPerfCache, PerfReport, SimBackend, SimOptions,
 };
 
 use crate::protocol::{
@@ -363,79 +362,59 @@ impl Session {
         let resolved = resolve_model(source, quant)?;
         let backend = backend.unwrap_or(self.backend);
         let arch = ArchConfig::isca_45nm();
-        let (model, quant) = (resolved.model, resolved.quant);
-        let (baseline, points, layer_hits, layer_misses) = match axis {
+        let model = &resolved.model;
+        // Each point takes the `report` path: a plan through the artifact
+        // cache, then its layers through the layer tier. Every point of an
+        // axis differs in the swept value, which is part of every layer
+        // key, so the sum of the points' spec-level sharing is the
+        // sweep's.
+        let mut reports = Vec::with_capacity(SWEEP_BATCHES.len());
+        let (mut layer_hits, mut layer_misses) = (0, 0);
+        let mut point = |value: u64, cached: &CachedPlan, arch: &ArchConfig| {
+            let plan = cached.as_ref().as_ref().expect("checked by compiled()");
+            let (hits, misses) = plan_layer_sharing(plan);
+            layer_hits += hits;
+            layer_misses += misses;
+            reports.push((value, self.run(plan, arch, backend)));
+        };
+        let (baseline, speedup): (u64, fn(&PerfReport, &PerfReport) -> f64) = match axis {
             SweepAxis::Bandwidth => {
-                let sweep = bandwidth_sweep(
-                    sim_backend(backend),
-                    &arch,
-                    &model,
-                    SWEEP_BANDWIDTH_BATCH,
-                    &SWEEP_BANDWIDTHS,
-                    self.options,
-                    &self.cache,
-                    &self.layer_cache,
-                )
-                .map_err(|e| e.to_string())?;
-                let speedups = sweep
-                    .speedups_vs(SWEEP_BANDWIDTH_BASELINE)
-                    .ok_or("baseline bandwidth missing from the sweep")?;
-                let points = sweep
-                    .points
-                    .iter()
-                    .zip(&speedups)
-                    .map(|(p, (_, s))| SweepPointInfo {
-                        value: p.value as u64,
-                        cycles: p.report.total_cycles(),
-                        cycles_per_input: p.report.cycles_per_input(),
-                        speedup: *s,
-                    })
-                    .collect();
-                (
-                    SWEEP_BANDWIDTH_BASELINE as u64,
-                    points,
-                    sweep.spec_layer_hits(),
-                    sweep.layer_unique,
-                )
+                // Tiling ignores bandwidth: one plan serves the whole axis.
+                let cached = self.compiled(model, &arch, SWEEP_BANDWIDTH_BATCH)?;
+                for bw in SWEEP_BANDWIDTHS {
+                    point(bw as u64, &cached, &arch.clone().with_bandwidth(bw));
+                }
+                (SWEEP_BANDWIDTH_BASELINE as u64, |base, p| {
+                    base.total_cycles() as f64 / p.total_cycles() as f64
+                })
             }
             SweepAxis::Batch => {
-                let sweep = batch_sweep(
-                    sim_backend(backend),
-                    &arch,
-                    &model,
-                    &SWEEP_BATCHES,
-                    self.options,
-                    &self.cache,
-                    &self.layer_cache,
-                )
-                .map_err(|e| e.to_string())?;
-                let speedups = sweep
-                    .per_input_speedups_vs(SWEEP_BATCH_BASELINE)
-                    .ok_or("baseline batch missing from the sweep")?;
-                let points = sweep
-                    .points
-                    .iter()
-                    .zip(&speedups)
-                    .map(|(p, (_, s))| SweepPointInfo {
-                        value: p.value,
-                        cycles: p.report.total_cycles(),
-                        cycles_per_input: p.report.cycles_per_input(),
-                        speedup: *s,
-                    })
-                    .collect();
-                (
-                    SWEEP_BATCH_BASELINE,
-                    points,
-                    sweep.spec_layer_hits(),
-                    sweep.layer_unique,
-                )
+                for batch in SWEEP_BATCHES {
+                    point(batch, &self.compiled(model, &arch, batch)?, &arch);
+                }
+                (SWEEP_BATCH_BASELINE, |base, p| {
+                    base.cycles_per_input() / p.cycles_per_input()
+                })
             }
         };
+        let (_, base) = reports
+            .iter()
+            .find(|(value, _)| *value == baseline)
+            .expect("every axis sweeps its baseline");
+        let points = reports
+            .iter()
+            .map(|(value, report)| SweepPointInfo {
+                value: *value,
+                cycles: report.total_cycles(),
+                cycles_per_input: report.cycles_per_input(),
+                speedup: speedup(base, report),
+            })
+            .collect();
         Ok(Response::Sweep(SweepReply {
             benchmark: resolved.name,
             axis,
             backend,
-            quant,
+            quant: resolved.quant,
             baseline,
             layer_hits,
             layer_misses,
@@ -555,13 +534,7 @@ impl Session {
             .grid
             .len()
             .expect("at most the spec's checked point count");
-        let result = explore_with_caches(
-            &spec,
-            sim_backend(backend),
-            dse_workers(params.workers),
-            &self.cache,
-            &self.layer_cache,
-        );
+        let result = explore(&spec, sim_backend(backend), dse_workers(params.workers));
         Ok(Response::Dse(dse_reply(
             &result,
             grid_points,
@@ -571,12 +544,7 @@ impl Session {
     }
 
     /// Compiles through the shared cache (or reports the compile failure).
-    fn compiled(
-        &self,
-        model: &Model,
-        arch: &ArchConfig,
-        batch: u64,
-    ) -> Result<bitfusion_compiler::CachedPlan, String> {
+    fn compiled(&self, model: &Model, arch: &ArchConfig, batch: u64) -> Result<CachedPlan, String> {
         arch.validate().map_err(|e| e.to_string())?;
         let cached = self.cache.get_or_compile(model, arch, batch);
         match cached.as_ref() {
@@ -586,10 +554,7 @@ impl Session {
     }
 
     /// Compile (via the artifact cache) + evaluate on the chosen backend
-    /// through the layer-tier cache, reusing the simulator's report
-    /// assembly (`run_plan_cached` builds the same [`PerfReport`] as
-    /// `BitFusionSim::run_plan`) so the service path can never diverge
-    /// from the library path.
+    /// through the layer-tier cache.
     fn simulate(
         &self,
         model: &Model,
@@ -599,15 +564,22 @@ impl Session {
     ) -> Result<PerfReport, String> {
         let cached = self.compiled(model, arch, batch)?;
         let plan = cached.as_ref().as_ref().expect("checked by compiled()");
-        let energy = FusionEnergy::isca_45nm();
-        Ok(run_plan_cached(
+        Ok(self.run(plan, arch, backend))
+    }
+
+    /// Evaluates a compiled plan on `arch` through the layer-tier cache,
+    /// reusing the simulator's report assembly (`run_plan_cached` builds
+    /// the same [`PerfReport`] as `BitFusionSim::run_plan`) so the service
+    /// path can never diverge from the library path.
+    fn run(&self, plan: &ExecutionPlan, arch: &ArchConfig, backend: BackendChoice) -> PerfReport {
+        run_plan_cached(
             sim_backend(backend),
             plan,
             arch,
-            &energy,
+            &FusionEnergy::isca_45nm(),
             &self.options,
             &self.layer_cache,
-        ))
+        )
     }
 }
 
@@ -1051,6 +1023,160 @@ mod tests {
                 assert!(r.layer_hits > 0, "{r:?}");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    const BACKENDS: [BackendChoice; 2] = [BackendChoice::Analytic, BackendChoice::Event];
+
+    /// A zoo network's sweep reply on `backend`.
+    fn sweep_of(
+        session: &Session,
+        net: &str,
+        axis: SweepAxis,
+        backend: BackendChoice,
+        quant: Option<&str>,
+    ) -> SweepReply {
+        match session.handle(&Request::Sweep {
+            model: ModelSource::zoo(net),
+            axis,
+            backend: Some(backend),
+            quant: quant.map(str::to_string),
+        }) {
+            Response::Sweep(r) => r,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn bandwidth_speedups_rise_from_the_baseline() {
+        assert_bandwidth_speedups_rise(BackendChoice::Analytic);
+    }
+
+    #[test]
+    fn event_backend_bandwidth_speedups_rise_from_the_baseline() {
+        assert_bandwidth_speedups_rise(BackendChoice::Event);
+    }
+
+    /// The RNN bandwidth sweep on `backend` reads 1.0 at the baseline,
+    /// rises with bandwidth, and is slower below and faster above it.
+    fn assert_bandwidth_speedups_rise(backend: BackendChoice) {
+        let r = sweep_of(&Session::new(), "rnn", SweepAxis::Bandwidth, backend, None);
+        assert_eq!(r.baseline, u64::from(SWEEP_BANDWIDTH_BASELINE));
+        let speedups: Vec<f64> = r.points.iter().map(|p| p.speedup).collect();
+        let base = r.points.iter().find(|p| p.value == r.baseline).unwrap();
+        assert_eq!(base.speedup, 1.0, "{backend:?}");
+        assert!(
+            speedups.windows(2).all(|w| w[0] <= w[1]),
+            "{backend:?}: {speedups:?}"
+        );
+        assert!(
+            speedups[0] < 1.0,
+            "{backend:?}: 32 b/cyc is slower: {speedups:?}"
+        );
+        assert!(
+            speedups[4] > 1.0,
+            "{backend:?}: 512 b/cyc is faster: {speedups:?}"
+        );
+    }
+
+    #[test]
+    fn per_input_speedup_grows_with_batch() {
+        for backend in BACKENDS {
+            let r = sweep_of(&Session::new(), "lstm", SweepAxis::Batch, backend, None);
+            assert_eq!(r.baseline, SWEEP_BATCH_BASELINE);
+            let at = |batch| r.points.iter().find(|p| p.value == batch).unwrap().speedup;
+            assert_eq!(at(1), 1.0, "{backend:?}");
+            assert!(at(16) > 2.0, "{backend:?}: {:?}", r.points);
+        }
+    }
+
+    #[test]
+    fn sweep_points_follow_the_axis_order() {
+        for backend in BACKENDS {
+            let session = Session::new();
+            let values = |axis| -> Vec<u64> {
+                let r = sweep_of(&session, "lstm", axis, backend, None);
+                r.points.iter().map(|p| p.value).collect()
+            };
+            assert_eq!(
+                values(SweepAxis::Bandwidth),
+                SWEEP_BANDWIDTHS.map(u64::from)
+            );
+            assert_eq!(values(SweepAxis::Batch), SWEEP_BATCHES);
+        }
+    }
+
+    #[test]
+    fn tiered_sweep_misses_its_reply_and_warms() {
+        // The contract the benchmark's traced mirror checks: a cold sweep
+        // evaluates each of its unique layer keys once through the tier,
+        // and a warm repeat evaluates nothing.
+        for backend in BACKENDS {
+            for axis in [SweepAxis::Bandwidth, SweepAxis::Batch] {
+                let session = Session::new();
+                let cold = sweep_of(&session, "resnet-18", axis, backend, None);
+                assert!(cold.layer_hits > 0, "{backend:?}: ResNet-18 repeats shapes");
+                let misses = session.layer_cache_stats().misses;
+                assert_eq!(misses, cold.layer_misses, "{backend:?}/{axis:?}: cold");
+                let warm = sweep_of(&session, "resnet-18", axis, backend, None);
+                assert_eq!(
+                    session.layer_cache_stats().misses,
+                    misses,
+                    "{backend:?}/{axis:?}: warm adds no miss"
+                );
+                assert_eq!(
+                    Response::Sweep(warm).encode(),
+                    Response::Sweep(cold).encode(),
+                    "{backend:?}/{axis:?}: warmth must never change bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_counters_sum_the_reports_at_each_swept_value() {
+        for (backend, quant) in BACKENDS.into_iter().zip([None, Some("uniform2")]) {
+            let session = Session::new();
+            let report = |batch, bandwidth| match session.handle(&Request::Report {
+                model: ModelSource::zoo("resnet-18"),
+                batch,
+                bandwidth,
+                arch: ArchPreset::Isca45nm,
+                backend: Some(backend),
+                quant: quant.map(str::to_string),
+            }) {
+                Response::Report(r) => r,
+                other => panic!("{other:?}"),
+            };
+            let axes: [(SweepAxis, Vec<ReportReply>); 2] = [
+                (
+                    SweepAxis::Bandwidth,
+                    SWEEP_BANDWIDTHS
+                        .map(|bw| report(SWEEP_BANDWIDTH_BATCH, Some(bw)))
+                        .into(),
+                ),
+                (
+                    SweepAxis::Batch,
+                    SWEEP_BATCHES.map(|batch| report(batch, None)).into(),
+                ),
+            ];
+            for (axis, reports) in axes {
+                let sweep = sweep_of(&session, "resnet-18", axis, backend, quant);
+                let sum = |count: fn(&ReportReply) -> u64| reports.iter().map(count).sum::<u64>();
+                assert_eq!(
+                    sweep.layer_hits,
+                    sum(|r| r.layer_hits),
+                    "{quant:?}/{axis:?}"
+                );
+                assert_eq!(
+                    sweep.layer_misses,
+                    sum(|r| r.layer_misses),
+                    "{quant:?}/{axis:?}"
+                );
+                let cycles: Vec<u64> = sweep.points.iter().map(|p| p.cycles).collect();
+                let want: Vec<u64> = reports.iter().map(|r| r.cycles).collect();
+                assert_eq!(cycles, want, "{quant:?}/{axis:?}: each point is a report");
+            }
         }
     }
 

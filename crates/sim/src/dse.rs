@@ -56,9 +56,9 @@
 //!   (total cycles, total energy, chip area), with per-point stall
 //!   attribution from whichever [`SimBackend`] ran the evaluation.
 //!
-//! The Figure 15/16 sweeps in [`crate::sweep`] do not use this engine:
-//! they take the `report` path once per point. See `DESIGN.md`,
-//! "Design-space exploration".
+//! The Figure 15/16 sweeps (the service session's `sweep`) do not use
+//! this engine: they take the `report` path once per point. See
+//! `DESIGN.md`, "Design-space exploration".
 //!
 //! [`layer_fingerprint`]: bitfusion_compiler::layer_fingerprint
 
@@ -605,31 +605,13 @@ impl ArchKey {
     }
 }
 
-/// Explores the spec on `backend` — see [`explore_with_caches`], which
-/// this delegates to.
-pub fn explore<B: SimBackend + Sync + ?Sized>(
-    spec: &DseSpec,
-    backend: &B,
-    workers: usize,
-) -> DseResult {
-    explore_with_caches(
-        spec,
-        backend,
-        workers,
-        &ArtifactCache::default(),
-        &LayerPerfCache::default(),
-    )
-}
-
 /// Explores the spec on `backend`, sharded across `workers` threads
 /// (`0` = use [`crate::pool::default_workers`]; `1` = the sequential
 /// baseline).
 ///
-/// Neither cache is read or filled: exploration deduplicates compilation
-/// and evaluation in a per-run job table instead (below), so a session
-/// that repeats a grid compiles it again. The parameters stay because
-/// perfbench's traced run passes both; ROADMAP items 5 and 6 delete the
-/// tiers they name.
+/// No cache is read or filled: exploration deduplicates compilation and
+/// evaluation in a per-run job table instead (below), so a session that
+/// repeats a grid compiles it again.
 ///
 /// One sharded pass over unique layer jobs. Serially, each quantized
 /// variant is fused once per batch into groups with their GEMM views
@@ -645,12 +627,10 @@ pub fn explore<B: SimBackend + Sync + ?Sized>(
 /// configurations and compile failures become [`InfeasiblePoint`]s rather
 /// than aborting the sweep — a wide grid is expected to contain corners no
 /// tiling fits.
-pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
+pub fn explore<B: SimBackend + Sync + ?Sized>(
     spec: &DseSpec,
     backend: &B,
     workers: usize,
-    _cache: &ArtifactCache,
-    _layer_cache: &LayerPerfCache,
 ) -> DseResult {
     let workers = if workers == 0 {
         crate::pool::default_workers()
@@ -902,6 +882,19 @@ pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
         layer_evals,
         layer_unique,
     }
+}
+
+/// [`explore`], with two caches it neither reads nor fills. It exists
+/// only because perfbench's traced run calls it, and goes with ROADMAP
+/// items 5 and 6, which delete the tiers its parameters name.
+pub fn explore_with_caches<B: SimBackend + Sync + ?Sized>(
+    spec: &DseSpec,
+    backend: &B,
+    workers: usize,
+    _cache: &ArtifactCache,
+    _layer_cache: &LayerPerfCache,
+) -> DseResult {
+    explore(spec, backend, workers)
 }
 
 /// The architecture-independent half of one artifact's compilation: its

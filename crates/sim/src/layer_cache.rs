@@ -10,8 +10,9 @@
 //! bandwidth, and the evaluation context (backend + calibration knobs,
 //! folded into [`eval_context`]). Networks full of repeated layer shapes —
 //! ResNet-18's basic blocks, VGG's conv stacks — and requests that
-//! re-visit a layer (a warm `report`, the points of a `sweep`) collapse
-//! onto one evaluation per unique [`LayerKey`].
+//! re-visit a layer (a warm `report`, a repeated `sweep`, whose points
+//! are one `report`-path evaluation each) collapse onto one evaluation
+//! per unique [`LayerKey`].
 //!
 //! [`run_plan_cached`] is the tier's one reader: the session's `report`,
 //! `compare` and `sweep` paths. Design-space exploration does not use it:

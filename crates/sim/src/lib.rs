@@ -21,9 +21,9 @@
 //!   [`StallBreakdown`]/[`BufferOccupancy`];
 //! * [`layer_cache`] — the layer tier of the two-tier cache: memoized
 //!   per-layer evaluation results keyed on structural fingerprints, below
-//!   the model-level artifact cache;
-//! * [`sweep`] — the Figure 15/16 sensitivity sweeps, one `report`-path
-//!   evaluation per point, generic over the backend;
+//!   the model-level artifact cache, read through [`run_plan_cached`] by
+//!   the service session's `report`, `compare` and `sweep` (the Figure
+//!   15/16 studies, one `report`-path evaluation per point);
 //! * [`dse`] — sharded design-space exploration: an
 //!   architecture-grid × network × batch sweep with a memoized compile
 //!   cache, `std::thread` workers ([`pool`]), and Pareto-frontier
@@ -47,7 +47,6 @@ pub mod event;
 pub mod layer_cache;
 pub mod pool;
 pub mod stats;
-pub mod sweep;
 
 pub use accelerator::BitFusionSim;
 pub use backend::{AnalyticBackend, SimBackend, BACKEND_CYCLE_TOLERANCE};
@@ -60,4 +59,3 @@ pub use dse::{
     PointError, QuantSpeedup, QuantSummary, TooManyLayers, TooManyPoints,
     MAX_DSE_LAYERS, MAX_DSE_POINTS,
 };
-pub use sweep::{bandwidth_sweep, batch_sweep, Sweep, SweepPoint};

@@ -765,10 +765,8 @@ fn run_client_pipeline(connect: Option<&str>, unix: Option<&str>) -> ExitCode {
     // Lockstep request/response over one connection: write a line, read a
     // line. Responses come back in request order, so interleaving with
     // stdin is safe and the output lines correlate 1:1 with input lines.
-    let exchange_all = |mut writer: Box<dyn Write>,
-                        reader: Box<dyn std::io::Read>|
-     -> std::io::Result<PipelineEnd> {
-        let mut responses = BufReader::new(reader);
+    let exchange_all = || -> std::io::Result<PipelineEnd> {
+        let (mut writer, mut responses) = dial(connect, unix)?;
         let mut errors = 0u64;
         let mut stdin = std::io::stdin().lock();
         let mut stdout = std::io::stdout().lock();
@@ -805,24 +803,7 @@ fn run_client_pipeline(connect: Option<&str>, unix: Option<&str>) -> ExitCode {
         }
         Ok(PipelineEnd::Done { errors })
     };
-    let result = match (connect, unix) {
-        (Some(addr), None) => std::net::TcpStream::connect(addr).and_then(|s| {
-            let reader = s.try_clone()?;
-            exchange_all(Box::new(s), Box::new(reader))
-        }),
-        #[cfg(unix)]
-        (None, Some(path)) => std::os::unix::net::UnixStream::connect(path).and_then(|s| {
-            let reader = s.try_clone()?;
-            exchange_all(Box::new(s), Box::new(reader))
-        }),
-        #[cfg(not(unix))]
-        (None, Some(_)) => Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "unix sockets are not available on this platform",
-        )),
-        _ => unreachable!("parse_client enforces --connect XOR --unix"),
-    };
-    match result {
+    match exchange_all() {
         Ok(PipelineEnd::Done { errors: 0 }) => ExitCode::SUCCESS,
         Ok(PipelineEnd::Done { .. }) => ExitCode::FAILURE,
         Ok(PipelineEnd::StdoutFailed(e)) => stdout_failed(&e),
@@ -830,6 +811,33 @@ fn run_client_pipeline(connect: Option<&str>, unix: Option<&str>) -> ExitCode {
             eprintln!("client: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Connects `client` to its server over TCP (`--connect`) or a unix
+/// socket (`--unix`): a writer and a buffered reader over one stream.
+fn dial(
+    connect: Option<&str>,
+    unix: Option<&str>,
+) -> std::io::Result<(Box<dyn Write>, Box<dyn BufRead>)> {
+    match (connect, unix) {
+        (Some(addr), None) => {
+            let stream = std::net::TcpStream::connect(addr)?;
+            let reader = stream.try_clone()?;
+            Ok((Box::new(stream), Box::new(BufReader::new(reader))))
+        }
+        #[cfg(unix)]
+        (None, Some(path)) => {
+            let stream = std::os::unix::net::UnixStream::connect(path)?;
+            let reader = stream.try_clone()?;
+            Ok((Box::new(stream), Box::new(BufReader::new(reader))))
+        }
+        #[cfg(not(unix))]
+        (None, Some(_)) => Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "unix sockets are not available on this platform",
+        )),
+        _ => unreachable!("parse_client enforces --connect XOR --unix"),
     }
 }
 
@@ -890,32 +898,13 @@ fn run_client(
         }
     };
     let exchange = || -> std::io::Result<String> {
-        // One request, one response line: the tiny protocol needs no
-        // transport abstraction here, just two stream flavours.
+        // One request, one response line.
+        let (mut writer, mut reader) = dial(connect, unix)?;
+        writer.write_all(line.as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
         let mut reply = String::new();
-        match (connect, unix) {
-            (Some(addr), None) => {
-                let mut stream = std::net::TcpStream::connect(addr)?;
-                stream.write_all(line.as_bytes())?;
-                stream.write_all(b"\n")?;
-                stream.flush()?;
-                BufReader::new(stream).read_line(&mut reply)?;
-            }
-            #[cfg(unix)]
-            (None, Some(path)) => {
-                let mut stream = std::os::unix::net::UnixStream::connect(path)?;
-                stream.write_all(line.as_bytes())?;
-                stream.write_all(b"\n")?;
-                stream.flush()?;
-                BufReader::new(stream).read_line(&mut reply)?;
-            }
-            _ => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "no usable target",
-                ))
-            }
-        }
+        reader.read_line(&mut reply)?;
         if reply.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

@@ -651,6 +651,37 @@ fn network_serve_over_tcp_answers_and_drains_on_sigint() {
     assert!(via_net.status.success(), "{}", stderr_of(&via_net));
     assert_eq!(stdout_of(&via_net), stdout_of(&one_shot));
 
+    // A keep-alive pipeline over TCP answers every line, in order, with
+    // the one-shot bytes.
+    let sweep = run(&["sweep", "rnn", "--batch", "--json"]);
+    let mut pipe = Command::new(BIN)
+        .args(["client", "--connect", &addr, "--keep-alive"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("client spawns");
+    pipe.stdin
+        .take()
+        .unwrap()
+        .write_all(
+            concat!(
+                r#"{"cmd":"list"}"#,
+                "\n",
+                r#"{"cmd":"sweep","benchmark":"rnn","axis":"batch"}"#,
+                "\n",
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    let piped = pipe.wait_with_output().unwrap();
+    assert!(piped.status.success(), "{}", stderr_of(&piped));
+    assert_eq!(stderr_of(&piped), "", "no client I/O error");
+    assert_eq!(
+        stdout_of(&piped),
+        format!("{}{}", stdout_of(&one_shot), stdout_of(&sweep))
+    );
+
     // `shutdown` is an admin request, honoured on unix sockets only.
     let refused = run(&["client", "--connect", &addr, r#"{"cmd":"shutdown"}"#]);
     assert_eq!(refused.status.code(), Some(1), "refusal is an error reply");
