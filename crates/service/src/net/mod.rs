@@ -26,19 +26,24 @@
 //!   byte-identical to a fresh one-shot session.
 //!
 //! Shutdown: a `shutdown` request on a unix socket (trusted local
-//! admin; TCP clients get an error), or the shared stop flag (the CLI
-//! wires SIGINT to it). The listener stops accepting, connection
-//! threads finish their current request and close, and `run` returns
-//! after the drain.
+//! admin; TCP clients get an error), or [`Stop::request`] on the
+//! config's stop handle. Nothing polls. The accept thread blocks in
+//! `accept`, and a stop wakes it with one connection to the listener's
+//! own address (the CLI's SIGINT handler shuts the listener down
+//! instead). The accept thread then shuts down the read half of every
+//! open connection: each connection thread finishes its current
+//! request, reads EOF and closes, and `run` returns after the drain.
 
 pub mod histogram;
 
 use std::io::{BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::fd::{AsRawFd, RawFd};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,13 +53,6 @@ use crate::protocol::{CacheTierInfo, LatencyInfo, Request, Response, StatsReply}
 use crate::serve::read_request;
 use crate::session::Session;
 use histogram::LatencyHistogram;
-
-/// How often blocked reads wake to check the stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// How often the nonblocking accept loop retries. Shorter than the read
-/// poll: it bounds how long a fresh client waits to be picked up.
-const ACCEPT_INTERVAL: Duration = Duration::from_millis(20);
 
 /// The message every load-shed request is answered with (pinned by
 /// tests and the DESIGN.md error-shape contract).
@@ -68,14 +66,15 @@ pub struct NetConfig {
     /// Admissions that may wait behind the slots before shedding.
     pub max_queue: usize,
     /// Close a connection after this long with no bytes from the client
-    /// (`None` = never).
+    /// (`None` = never). It is the connection's read timeout, so any read
+    /// that returns bytes, a partial line included, restarts it.
     pub idle_timeout: Option<Duration>,
     /// Honour the `shutdown` request (the CLI enables this for unix
     /// sockets only — a remote TCP client must not stop the server).
     pub allow_shutdown: bool,
-    /// Externally visible stop flag: set it (e.g. from a SIGINT handler)
-    /// and the server drains and returns.
-    pub stop: Arc<AtomicBool>,
+    /// Stops the server: keep a clone and call [`Stop::request`], and
+    /// the server wakes, drains and returns.
+    pub stop: Stop,
 }
 
 impl Default for NetConfig {
@@ -85,8 +84,72 @@ impl Default for NetConfig {
             max_queue: 64,
             idle_timeout: Some(Duration::from_secs(300)),
             allow_shutdown: false,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Stop::default(),
         }
+    }
+}
+
+/// The handle that stops a running server, shared by its clones. One
+/// handle serves one [`run`] at a time.
+#[derive(Debug, Clone, Default)]
+pub struct Stop(Arc<StopState>);
+
+#[derive(Debug, Default)]
+struct StopState {
+    requested: AtomicBool,
+    /// Where the running server accepts, recorded by [`run`] when it
+    /// starts and cleared when it returns.
+    wake: Mutex<Option<WakeAddr>>,
+}
+
+/// A listener's own address, for the connection that wakes its `accept`.
+#[derive(Debug)]
+enum WakeAddr {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(std::os::unix::net::SocketAddr),
+}
+
+impl Stop {
+    /// Stops the server: sets the flag, then wakes the blocked `accept`
+    /// with one connection to the listener's own address. Before `run`
+    /// starts, it only sets the flag, and `run` then returns at once.
+    /// Only the first call wakes the server.
+    pub fn request(&self) {
+        if self.0.requested.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // The connection only wakes `accept`, which drops it uncounted.
+        match &*self.wake() {
+            Some(WakeAddr::Tcp(addr)) => drop(TcpStream::connect(addr)),
+            #[cfg(unix)]
+            Some(WakeAddr::Unix(addr)) => drop(UnixStream::connect_addr(addr)),
+            None => {}
+        }
+    }
+
+    /// Sets the flag without waking the server: one atomic store, so a
+    /// signal handler may call it. The caller must wake a blocked
+    /// `accept` itself, as the CLI's SIGINT handler does by shutting the
+    /// listener down; [`Stop::request`] then does nothing more.
+    pub fn request_without_wake(&self) {
+        self.0.requested.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether a stop was requested.
+    pub fn is_requested(&self) -> bool {
+        self.0.requested.load(Ordering::SeqCst)
+    }
+
+    /// Records (or, with `None`, forgets) the address `request` wakes.
+    /// `run` checks the flag only after recording it, so a request that
+    /// found no address has set the flag before `run`'s first check.
+    fn set_wake(&self, addr: Option<WakeAddr>) {
+        *self.wake() = addr;
+    }
+
+    fn wake(&self) -> MutexGuard<'_, Option<WakeAddr>> {
+        self.0.wake.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -146,29 +209,43 @@ impl NetListener {
         }
     }
 
-    fn set_nonblocking(&self) -> std::io::Result<()> {
+    /// The address a connection to this listener reaches: its own, with
+    /// an unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+    fn wake_addr(&self) -> std::io::Result<WakeAddr> {
         match self {
-            NetListener::Tcp(l) => l.set_nonblocking(true),
+            NetListener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(if addr.is_ipv4() {
+                        Ipv4Addr::LOCALHOST.into()
+                    } else {
+                        Ipv6Addr::LOCALHOST.into()
+                    });
+                }
+                Ok(WakeAddr::Tcp(addr))
+            }
             #[cfg(unix)]
-            NetListener::Unix(l) => l.set_nonblocking(true),
+            NetListener::Unix(l) => Ok(WakeAddr::Unix(l.local_addr()?)),
         }
     }
 
     fn accept(&self) -> std::io::Result<NetStream> {
         match self {
-            NetListener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                // The accept loop polls nonblocking; the connection itself
-                // must block (with a read timeout) again.
-                s.set_nonblocking(false)?;
-                Ok(NetStream::Tcp(s))
-            }
+            NetListener::Tcp(l) => Ok(NetStream::Tcp(l.accept()?.0)),
             #[cfg(unix)]
-            NetListener::Unix(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(NetStream::Unix(s))
-            }
+            NetListener::Unix(l) => Ok(NetStream::Unix(l.accept()?.0)),
+        }
+    }
+}
+
+/// The listening socket's descriptor, for a signal handler that shuts it
+/// down to wake a blocked `accept`.
+#[cfg(unix)]
+impl AsRawFd for NetListener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            NetListener::Tcp(l) => l.as_raw_fd(),
+            NetListener::Unix(l) => l.as_raw_fd(),
         }
     }
 }
@@ -190,39 +267,47 @@ impl NetStream {
         }
     }
 
-    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()> {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         match self {
-            NetStream::Tcp(s) => s.set_read_timeout(Some(dur)),
+            NetStream::Tcp(s) => s.set_read_timeout(timeout),
             #[cfg(unix)]
-            NetStream::Unix(s) => s.set_read_timeout(Some(dur)),
+            NetStream::Unix(s) => s.set_read_timeout(timeout),
+        }
+    }
+
+    fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
+        match self {
+            NetStream::Tcp(s) => s.shutdown(how),
+            #[cfg(unix)]
+            NetStream::Unix(s) => s.shutdown(how),
         }
     }
 }
 
-impl Read for NetStream {
+impl Read for &NetStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            NetStream::Tcp(s) => s.read(buf),
+            NetStream::Tcp(s) => (&*s).read(buf),
             #[cfg(unix)]
-            NetStream::Unix(s) => s.read(buf),
+            NetStream::Unix(s) => (&*s).read(buf),
         }
     }
 }
 
-impl Write for NetStream {
+impl Write for &NetStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            NetStream::Tcp(s) => s.write(buf),
+            NetStream::Tcp(s) => (&*s).write(buf),
             #[cfg(unix)]
-            NetStream::Unix(s) => s.write(buf),
+            NetStream::Unix(s) => (&*s).write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            NetStream::Tcp(s) => s.flush(),
+            NetStream::Tcp(s) => (&*s).flush(),
             #[cfg(unix)]
-            NetStream::Unix(s) => s.flush(),
+            NetStream::Unix(s) => (&*s).flush(),
         }
     }
 }
@@ -294,7 +379,7 @@ impl ServerState<'_> {
             Request::Stats => return Response::Stats(self.stats()).encode(),
             Request::Shutdown => {
                 return if self.config.allow_shutdown {
-                    self.config.stop.store(true, Ordering::SeqCst);
+                    self.config.stop.request();
                     Response::Shutdown.encode()
                 } else {
                     Response::Error {
@@ -352,25 +437,26 @@ impl ServerState<'_> {
         // Releases the slot on return and on unwind alike: a request that
         // panics must not leave `stats` counting its connection as open.
         let _active = ActiveSlot(&self.connections_active);
+        // Hangs up on return and on unwind alike: the accept thread's
+        // clone keeps the socket open until it reaps this thread, and the
+        // client must see EOF now.
+        let _hangup = Hangup(&stream);
         // A vanished peer is normal (client ctrl-c'd); nothing to report.
-        drop(self.connection_loop(stream));
+        drop(self.connection_loop(&stream));
     }
 
-    fn connection_loop(&self, stream: NetStream) -> std::io::Result<()> {
-        stream.set_read_timeout(POLL_INTERVAL)?;
-        let mut writer = stream.try_clone()?;
+    fn connection_loop(&self, stream: &NetStream) -> std::io::Result<()> {
+        stream.set_read_timeout(self.config.idle_timeout)?;
+        let mut writer = stream;
         let mut reader = BufReader::new(stream);
         let mut line = Vec::new();
-        let mut last_activity = Instant::now();
         loop {
-            if self.config.stop.load(Ordering::SeqCst) {
-                return Ok(()); // draining: finish current request, close
-            }
-            let before = line.len();
             match read_request(&mut reader, &mut line) {
-                Ok(None) => return Ok(()), // EOF: client closed cleanly
+                // The client closed, or the drain shut the read half.
+                Ok(None) => return Ok(()),
+                // Draining: a line framed after the stop is not answered.
+                Ok(Some(_)) if self.config.stop.is_requested() => return Ok(()),
                 Ok(Some(framed)) => {
-                    last_activity = Instant::now();
                     write_line(&mut writer, &self.answer(framed.request))?;
                     if framed.last {
                         return Ok(()); // the rest of the line is never read
@@ -382,17 +468,7 @@ impl ServerState<'_> {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    // Poll tick. The read may have left a partial line in
-                    // the buffer before timing out — keep it; the next
-                    // pass appends the rest.
-                    if line.len() != before {
-                        last_activity = Instant::now();
-                    }
-                    if let Some(limit) = self.config.idle_timeout {
-                        if last_activity.elapsed() >= limit {
-                            return Ok(()); // idle: reclaim the thread
-                        }
-                    }
+                    return Ok(()); // idle: reclaim the thread
                 }
                 Err(e) => return Err(e),
             }
@@ -409,15 +485,25 @@ impl Drop for ActiveSlot<'_> {
     }
 }
 
+/// Shuts both halves of a connection down on drop.
+struct Hangup<'a>(&'a NetStream);
+
+impl Drop for Hangup<'_> {
+    fn drop(&mut self) {
+        // The peer may be gone already; there is nothing left to close.
+        drop(self.0.shutdown(Shutdown::Both));
+    }
+}
+
 fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
 }
 
-/// Runs the server until the stop flag is set (SIGINT in the CLI, or an
-/// accepted `shutdown` request), then drains open connections and
-/// reports what it served.
+/// Runs the server until a stop is requested ([`Stop::request`], SIGINT
+/// in the CLI, or an accepted `shutdown` request), then drains open
+/// connections and reports what it served.
 ///
 /// # Errors
 ///
@@ -446,7 +532,8 @@ pub fn run_with_handler(
     config: &NetConfig,
     handler: Handler<'_>,
 ) -> std::io::Result<NetSummary> {
-    listener.set_nonblocking()?;
+    let stop = &config.stop;
+    stop.set_wake(Some(listener.wake_addr()?));
     let workers = if config.workers == 0 {
         bitfusion_sim::pool::default_workers()
     } else {
@@ -466,43 +553,53 @@ pub fn run_with_handler(
         shed: AtomicU64::new(0),
     };
     let state = &state;
-    std::thread::scope(|scope| {
+    let accepted = std::thread::scope(|scope| {
         // Connection threads are joined here, not by the scope: a scope
         // re-raises the panic of any thread it joins itself, and one
         // request that panicked must not take the server down at
         // shutdown. The panic already closed that connection and released
-        // its slot, so its join result carries nothing to report.
-        let mut connections: Vec<ScopedJoinHandle<'_, ()>> = Vec::new();
+        // its slot, so its join result carries nothing to report. Each
+        // thread is kept with a clone of its stream, whose read half the
+        // drain shuts down.
+        let mut connections: Vec<(ScopedJoinHandle<'_, ()>, NetStream)> = Vec::new();
         let accepted = loop {
-            if config.stop.load(Ordering::SeqCst) {
+            if stop.is_requested() {
                 break Ok(());
             }
             match listener.accept() {
+                // The wake-up connection of `Stop::request`, or a client
+                // that raced it: dropped, uncounted.
+                Ok(_) if stop.is_requested() => break Ok(()),
                 Ok(stream) => {
                     // Reap the finished threads, so the list holds only
                     // open connections.
-                    for done in connections.extract_if(.., |c| c.is_finished()) {
+                    for (done, _) in connections.extract_if(.., |(c, _)| c.is_finished()) {
                         drop(done.join());
                     }
-                    connections.push(scope.spawn(move || state.serve_connection(stream)));
+                    // Without a clone the drain could not wake this
+                    // connection: close it unserved.
+                    if let Ok(clone) = stream.try_clone() {
+                        let thread = scope.spawn(move || state.serve_connection(stream));
+                        connections.push((thread, clone));
+                    }
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    std::thread::sleep(ACCEPT_INTERVAL);
-                }
+                // A stop that shut the listener down (the CLI's SIGINT).
+                Err(_) if stop.is_requested() => break Ok(()),
                 Err(e) => break Err(e),
             }
         };
-        // The drain.
-        for connection in connections {
+        // The drain: a blocked read returns EOF, a connection mid-request
+        // finishes its reply first.
+        for (_, stream) in &connections {
+            drop(stream.shutdown(Shutdown::Read));
+        }
+        for (connection, _) in connections {
             drop(connection.join());
         }
         accepted
-    })?;
+    });
+    stop.set_wake(None);
+    accepted?;
     Ok(NetSummary {
         connections: state.connections_total.load(Ordering::Relaxed),
         responses: state

@@ -64,9 +64,9 @@ pub(crate) struct Framed {
 /// Reads and frames the next non-blank request line from `reader` (the
 /// rules are in the [module docs](self)); `Ok(None)` at end of input.
 ///
-/// `line` carries a partial line between calls: a read that fails
-/// mid-line (the network server's poll timeout) leaves the bytes read so
-/// far in it, and the next call appends the rest.
+/// `line` is a buffer the caller reuses across calls. Both callers end
+/// their input on a read error (the network server's idle timeout is
+/// one), so the partial line such an error leaves in it is dropped.
 ///
 /// # Errors
 ///

@@ -13,12 +13,11 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bitfusion_service::net::{self, NetConfig, NetListener, SHED_MESSAGE};
+use bitfusion_service::net::{self, NetConfig, NetListener, NetSummary, Stop, SHED_MESSAGE};
 use bitfusion_service::protocol::{Request, StatsReply};
 use bitfusion_service::serve::{clamp_nested_workers, MAX_LINE_BYTES};
 use bitfusion_service::{Response, Session};
@@ -30,14 +29,14 @@ const OCCUPANT: &str = r#"{"cmd":"report","benchmark":"lstm","batch":1}"#;
 /// A second, byte-distinct request for queue-occupancy scenarios.
 const QUEUED: &str = r#"{"cmd":"sweep","benchmark":"rnn","axis":"bandwidth"}"#;
 
-/// Sets the server's stop flag when dropped. Each scenario holds one, so
+/// Requests the server's stop when dropped. Each scenario holds one, so
 /// a panic inside `thread::scope` stops the server (the scope then joins
 /// it) instead of leaving the scope waiting on it forever.
-struct StopOnDrop<'a>(&'a AtomicBool);
+struct StopOnDrop<'a>(&'a Stop);
 
 impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.0.request();
     }
 }
 
@@ -154,7 +153,7 @@ fn concurrent_clients_get_one_shot_bytes() {
             clients.into_iter().map(|c| c.join().unwrap()).collect();
         // The retained wire field: nothing is coalesced.
         assert_eq!(stats(addr).coalesced, 0);
-        config.stop.store(true, Ordering::SeqCst);
+        config.stop.request();
         let summary = server.join().unwrap().expect("server runs");
         assert_eq!(summary.responses, 36, "6 clients x 6 requests");
         assert_eq!(summary.errors, 0);
@@ -230,7 +229,7 @@ fn overload_sheds_with_a_parseable_error() {
         assert!(s.latency.p50_us > 0);
         assert!(s.latency.p50_us <= s.latency.p90_us);
         assert!(s.latency.p90_us <= s.latency.p99_us);
-        config.stop.store(true, Ordering::SeqCst);
+        config.stop.request();
         let summary = server.join().unwrap().expect("server runs");
         assert_eq!(summary.errors, 1);
         assert_eq!(summary.responses, 3);
@@ -264,7 +263,7 @@ fn idle_connections_are_reaped_but_the_server_lives_on() {
         // An active client on the same server is unaffected.
         let reply = exchange(addr, r#"{"cmd":"list"}"#);
         assert!(reply.starts_with(r#"{"reply":"list""#));
-        config.stop.store(true, Ordering::SeqCst);
+        config.stop.request();
         server.join().unwrap().expect("server runs");
     });
 }
@@ -308,7 +307,7 @@ fn a_panicking_request_releases_its_connection_slot() {
             one_shot(r#"{"cmd":"report","benchmark":"lstm","batch":1}"#)
         );
         // The panic stays in its connection: the server stops cleanly.
-        config.stop.store(true, Ordering::SeqCst);
+        config.stop.request();
         let summary = server
             .join()
             .expect("the server does not re-raise the panic")
@@ -422,7 +421,7 @@ fn hostile_lines_answer_errors_and_the_server_serves_on() {
         let mut reply = String::new();
         BufReader::new(next).read_line(&mut reply).unwrap();
         assert!(reply.starts_with(r#"{"reply":"list""#), "{reply}");
-        config.stop.store(true, Ordering::SeqCst);
+        config.stop.request();
         let summary = server.join().unwrap().expect("server runs");
         assert_eq!((summary.responses, summary.errors), (6, 4));
     });
@@ -473,7 +472,7 @@ fn keep_alive_pipelining_matches_one_shot_bytes() {
             // ...and as a fresh one-shot session.
             assert_eq!(*reply, one_shot(line), "request {line}");
         }
-        config.stop.store(true, Ordering::SeqCst);
+        config.stop.request();
         let summary = server.join().unwrap().expect("server runs");
         // 4 pipelined + 4 one-shot verification requests.
         assert_eq!(summary.responses, 8);
@@ -499,7 +498,112 @@ fn tcp_shutdown_is_refused() {
         }
         // Still serving.
         assert!(exchange(addr, r#"{"cmd":"list"}"#).starts_with(r#"{"reply":"list""#));
-        config.stop.store(true, Ordering::SeqCst);
+        config.stop.request();
         server.join().unwrap().expect("server runs");
     });
+}
+
+/// Runs the server on a thread of its own and hands back its result, so
+/// that a stop that never wakes the server fails [`returned`] at its
+/// deadline instead of hanging the test in a scope's join.
+fn spawn_server(
+    session: &'static Session,
+    listener: NetListener,
+    config: NetConfig,
+    handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
+) -> mpsc::Receiver<std::io::Result<NetSummary>> {
+    let (done, result) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = done.send(net::run_with_handler(session, &listener, &config, &handler));
+    });
+    result
+}
+
+/// The summary of a server started by [`spawn_server`] (30 s cap).
+fn returned(server: &mpsc::Receiver<std::io::Result<NetSummary>>) -> NetSummary {
+    server
+        .recv_timeout(Duration::from_secs(30))
+        .expect("run returns after the stop")
+        .expect("server runs")
+}
+
+fn leaked_session() -> &'static Session {
+    Box::leak(Box::new(Session::new()))
+}
+
+#[test]
+fn a_server_that_never_had_a_client_stops_on_request() {
+    let dir = std::env::temp_dir().join(format!("bitfusion-net-idle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve.sock");
+    let _ = std::fs::remove_file(&path);
+    let mut listeners = vec![bind_tcp().0];
+    #[cfg(unix)]
+    listeners.push(NetListener::bind_unix(path.to_str().unwrap()).expect("bind unix socket"));
+    for listener in listeners {
+        let session = leaked_session();
+        let config = NetConfig::default();
+        let server = spawn_server(session, listener, config.clone(), |r| session.handle(r));
+        // Time for `run` to block in `accept`. The test holds without it
+        // too: a stop requested before `run` starts is the case below.
+        thread::sleep(Duration::from_millis(50));
+        config.stop.request();
+        let summary = returned(&server);
+        assert_eq!(
+            summary.connections, 0,
+            "the wake-up connection is not counted"
+        );
+        assert_eq!(summary, NetSummary::default());
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir(&dir);
+}
+
+#[test]
+fn a_silent_kept_connection_does_not_hold_up_the_drain() {
+    let session = leaked_session();
+    let (listener, addr) = bind_tcp();
+    let config = NetConfig {
+        workers: 1,
+        idle_timeout: None, // nothing reaps the silent connection
+        ..NetConfig::default()
+    };
+    let (release, held) = mpsc::channel();
+    let held: &'static Mutex<_> = Box::leak(Box::new(Mutex::new(held)));
+    let server = spawn_server(session, listener, config.clone(), holding(session, held));
+    let _stop = StopOnDrop(&config.stop);
+    let silent = TcpStream::connect(addr).expect("connect");
+    let occupant = thread::spawn(move || exchange(addr, OCCUPANT));
+    // The silent connection, the occupant's and the stats poll's.
+    wait_until("silent connection open and occupant in flight", || {
+        let s = stats(addr);
+        s.connections_active == 3 && s.in_flight == 1
+    });
+    config.stop.request();
+    assert!(
+        server.try_recv().is_err(),
+        "the drain waits for the held occupant"
+    );
+    // Held at the stop, the occupant still gets its reply; the silent
+    // connection reads EOF and does not keep `run` from returning.
+    release.send(()).expect("the occupant is held");
+    assert_eq!(occupant.join().unwrap(), one_shot(OCCUPANT));
+    let summary = returned(&server);
+    assert_eq!(summary.responses, 1);
+    let mut rest = String::new();
+    let n = BufReader::new(silent)
+        .read_line(&mut rest)
+        .expect("clean close");
+    assert_eq!(n, 0, "the silent connection is closed with EOF");
+}
+
+#[test]
+fn a_stop_requested_before_run_returns_at_once() {
+    let session = leaked_session();
+    let (listener, _) = bind_tcp();
+    let config = NetConfig::default();
+    config.stop.request();
+    assert!(config.stop.is_requested());
+    let server = spawn_server(session, listener, config, |r| session.handle(r));
+    assert_eq!(returned(&server), NetSummary::default());
 }

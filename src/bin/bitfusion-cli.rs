@@ -23,9 +23,11 @@
 
 use std::env;
 use std::io::{BufRead, BufReader, BufWriter, Write};
+#[cfg(unix)]
+use std::os::fd::AsRawFd;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicI32, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use bitfusion::dnn::{export_model, parse_model, Model, QuantSpec};
@@ -34,7 +36,7 @@ use bitfusion::service::protocol::{
     quant_spec_from_json, ArchPreset, BackendChoice, DseParams, ModelSource, SweepAxis,
     DEFAULT_BATCH,
 };
-use bitfusion::service::net::{self, NetConfig, NetListener};
+use bitfusion::service::net::{self, NetConfig, NetListener, Stop};
 use bitfusion::service::session::find_model;
 use bitfusion::service::{render, serve, Request, Response, Session};
 use bitfusion::sim::SimOptions;
@@ -666,36 +668,57 @@ fn print_cache_summary(session: &Session, responses: u64, errors: u64) {
     );
 }
 
-/// The stop flag SIGINT flips, shared with the running server. A
+/// The stop handle SIGINT requests, shared with the running server. A
 /// `OnceLock` because a signal handler cannot capture state: it must
-/// reach the flag through a process global.
-static SIGINT_STOP: OnceLock<Arc<AtomicBool>> = OnceLock::new();
+/// reach the handle through a process global.
+static SIGINT_STOP: OnceLock<Stop> = OnceLock::new();
+
+/// The listener's descriptor, which SIGINT shuts down to wake the
+/// server's blocked `accept` (std retries an `accept` that a signal
+/// interrupts, so the flag alone would go unseen). `-1`: none yet.
+static SIGINT_LISTENER: AtomicI32 = AtomicI32::new(-1);
 
 /// Routes SIGINT (ctrl-c) to `stop` so the server drains instead of
-/// dying mid-request. Raw `signal(2)` FFI — the store below is
-/// async-signal-safe, and the default disposition is restored semantics
-/// we don't need (a second ctrl-c during a long drain still kills via
-/// SIGQUIT/SIGTERM).
+/// dying mid-request. Raw `signal(2)` FFI: the handler makes one atomic
+/// store and one `shutdown(2)`, both async-signal-safe, and the default
+/// disposition is restored semantics we don't need (a second ctrl-c
+/// during a long drain still kills via SIGQUIT/SIGTERM).
 #[cfg(unix)]
-fn install_sigint(stop: Arc<AtomicBool>) {
+fn install_sigint(stop: Stop, listener: &NetListener) {
     extern "C" fn on_sigint(_: i32) {
         if let Some(stop) = SIGINT_STOP.get() {
-            stop.store(true, Ordering::SeqCst);
+            stop.request_without_wake();
+        }
+        let fd = SIGINT_LISTENER.load(Ordering::SeqCst);
+        if fd >= 0 {
+            // On Linux this fails a blocked `accept`, for TCP and unix
+            // listeners alike, and the server stops cleanly.
+            const SHUT_RDWR: i32 = 2;
+            // SAFETY: `shutdown` takes plain integers and touches no Rust
+            // memory. `fd` is the open listener's: `run_net_serve` resets
+            // it to -1 once the server returns, before the listener drops.
+            unsafe {
+                shutdown(fd, SHUT_RDWR);
+            }
         }
     }
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
+        fn shutdown(fd: i32, how: i32) -> i32;
     }
     let _ = SIGINT_STOP.set(stop);
+    SIGINT_LISTENER.store(listener.as_raw_fd(), Ordering::SeqCst);
     const SIGINT: i32 = 2;
     let handler = on_sigint as extern "C" fn(i32);
+    // SAFETY: `handler` is an `extern "C" fn(i32)` that lives for the
+    // whole program and does only async-signal-safe work.
     unsafe {
         signal(SIGINT, handler as usize);
     }
 }
 
 #[cfg(not(unix))]
-fn install_sigint(_stop: Arc<AtomicBool>) {}
+fn install_sigint(_stop: Stop, _listener: &NetListener) {}
 
 /// Runs the network server on the parsed listen target; returns the exit
 /// code (never a usage error — the flags were validated already).
@@ -733,9 +756,10 @@ fn run_net_serve(
         allow_shutdown: unix.is_some(),
         ..NetConfig::default()
     };
-    install_sigint(Arc::clone(&config.stop));
+    install_sigint(config.stop.clone(), &listener);
     eprintln!("serve: listening on {}", listener.local_display());
     let result = net::run(session, &listener, &config);
+    SIGINT_LISTENER.store(-1, Ordering::SeqCst);
     // Remove the socket file so the next start binds cleanly; the
     // listener must drop first on some platforms, but unlinking while
     // open is fine on unix.

@@ -736,6 +736,121 @@ fn network_serve_and_client_resolve_host_names() {
     assert_eq!(stdout_of(&via_net), stdout_of(&one_shot));
 }
 
+/// A `serve --unix` child on a fresh socket path, bound and listening.
+#[cfg(target_os = "linux")]
+fn spawn_unix_server(name: &str) -> (std::process::Child, std::path::PathBuf) {
+    let sock =
+        std::env::temp_dir().join(format!("bitfusion-cli-{name}-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let child = Command::new(BIN)
+        .args(["serve", "--unix", sock.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server spawns");
+    wait_for_socket(&sock);
+    (child, sock)
+}
+
+/// Sends SIGINT to `child` and waits for it to exit (30 s cap: a stop
+/// that never wakes the server fails here instead of hanging).
+#[cfg(target_os = "linux")]
+fn interrupt(child: &mut std::process::Child) -> std::process::ExitStatus {
+    let kill = Command::new("kill")
+        .args(["-INT", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        if let Some(status) = child.try_wait().expect("server waits") {
+            return status;
+        }
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("the server did not exit after SIGINT");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
+/// Voluntary context switches of every thread of process `pid`.
+#[cfg(target_os = "linux")]
+fn voluntary_switches(pid: u32) -> u64 {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("the server's threads are listed")
+        .map(|task| {
+            let status = std::fs::read_to_string(task.unwrap().path().join("status")).unwrap();
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+                .and_then(|n| n.trim().parse::<u64>().ok())
+                .expect("status names voluntary_ctxt_switches")
+        })
+        .sum()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_server_does_not_wake_up() {
+    let (mut child, sock) = spawn_unix_server("idle");
+    // Let the startup settle into the blocked `accept`.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let before = voluntary_switches(child.id());
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let woke = voluntary_switches(child.id()) - before;
+    assert!(interrupt(&mut child).success());
+    assert!(woke <= 2, "an idle server woke {woke} times in 1 s");
+    assert!(!sock.exists(), "socket file removed on SIGINT");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn sigint_stops_a_server_that_never_had_a_client() {
+    let (mut child, sock) = spawn_unix_server("sigint-idle");
+    assert!(interrupt(&mut child).success());
+    let mut err = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut err).unwrap();
+    assert!(err.contains("serve: 0 connections"), "{err}");
+    assert!(!sock.exists(), "socket file removed on SIGINT");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn sigint_stops_a_server_with_an_idle_keep_alive_client() {
+    let (mut child, sock) = spawn_unix_server("sigint-kept");
+    let sock_str = sock.to_str().unwrap();
+    // Stdin stays open and silent: the client holds its connection.
+    let mut client = Command::new(BIN)
+        .args(["client", "--unix", sock_str, "--keep-alive"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("client spawns");
+    // The kept connection and the stats poll's own.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let stats = run(&["client", "--unix", sock_str, r#"{"cmd":"stats"}"#]);
+        if stdout_of(&stats).contains(r#""connections":{"active":2"#) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the keep-alive connection never opened: {}",
+            stdout_of(&stats)
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let status = interrupt(&mut child);
+    drop(client.stdin.take());
+    let _ = client.kill();
+    let _ = client.wait();
+    assert!(status.success());
+    assert!(!sock.exists(), "socket file removed on SIGINT");
+}
+
 #[test]
 fn client_and_serve_flag_validation() {
     // client needs exactly one transport.
